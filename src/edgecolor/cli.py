@@ -1,8 +1,8 @@
 """Command-line surface: gen, color, verify, oracle, bench.
 
-Exit codes: 0 success, 1 failure or violation, 2 usage error.
-The EDGECOLOR_SEED environment variable overrides the default seed; explicit
---seed flags win over both.
+Exit codes: 0 success, 1 failure or violation, 2 usage error (one line on
+stderr, no traceback).  The EDGECOLOR_SEED environment variable overrides the
+default seed; explicit --seed flags win over both.
 """
 
 from __future__ import annotations
@@ -13,17 +13,46 @@ import sys
 
 from . import bench as bench_mod
 from .engine import RunConfig, run_full
-from .errors import EdgeColorError, Exhausted, TooLarge
+from .errors import EdgeColorError, Exhausted
 from .fileio import read_coloring, read_edge_list, write_coloring, write_edge_list
 from .generators import GenSpec, generate
 from .oracle import brute_chromatic_index
 
 
-def _default_seed() -> int:
+class UsageError(Exception):
+    """A bad command-line value; reported in one line with exit code 2."""
+
+
+def _seed(args) -> int:
+    """The --seed flag, else EDGECOLOR_SEED, else 0; always a non-negative int."""
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("EDGECOLOR_SEED") or "0"
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"EDGECOLOR_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _checked(cfg: RunConfig) -> RunConfig:
     try:
-        return int(os.environ.get("EDGECOLOR_SEED", "0"))
+        cfg.check()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return cfg
+
+
+def _number_list(text: str, kind, flag: str) -> list:
+    try:
+        values = [kind(s) for s in text.split(",") if s]
     except ValueError:
-        return 0
+        raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} needs at least one value")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,9 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     spec = GenSpec(args.model, n=args.n, p=args.p, d=args.d, a=args.a, b=args.b,
-                   dim=args.dim, seed=seed)
+                   dim=args.dim, seed=_seed(args))
     g = generate(spec)
     if args.out:
         write_edge_list(args.out, g)
@@ -89,22 +117,31 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    g, labels = read_edge_list(args.input)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = RunConfig(
+    cfg = _checked(RunConfig(
         epsilon=args.epsilon,
         kappa_const=args.kappa_const,
         ell_const=args.ell_const,
         t_const=args.t_const,
-        seed=seed,
+        seed=_seed(args),
         max_restarts=args.max_restarts,
         small_delta_fallback=not args.no_fallback,
-    )
+    ))
+    g, labels = read_edge_list(args.input)
     try:
         state, stats = run_full(g, cfg)
     except Exhausted as exc:
+        for cause in exc.causes:
+            print(f"restart: {cause}", file=sys.stderr)
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
+    for cause in stats.restart_causes:
+        print(f"restart: {cause}", file=sys.stderr)
+    if stats.fallback_used:
+        print(
+            f"fallback: all {stats.restarts_used + 1} attempts failed; greedy coloring "
+            f"with 2*D-1 = {stats.greedy_colors} colors (budget {stats.q_cap})",
+            file=sys.stderr,
+        )
     if args.output:
         write_coloring(args.output, g, state.slot, labels)
     else:
@@ -161,9 +198,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    epsilons = [float(s) for s in args.epsilons.split(",") if s]
-    seed = args.seed if args.seed is not None else _default_seed()
+    sizes = _number_list(args.sizes, int, "--sizes")
+    epsilons = _number_list(args.epsilons, float, "--epsilons")
+    seed = _seed(args)
+    for eps in epsilons:
+        _checked(RunConfig(epsilon=eps))
+    if args.delta < 1:
+        raise UsageError(f"--delta must be at least 1, got {args.delta}")
     cfg = RunConfig(epsilon=epsilons[0], seed=seed)
     records = bench_mod.bench_sweep(
         sizes, epsilons, args.trials, cfg, delta=args.delta, model=args.model, out=args.out
@@ -189,7 +230,10 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (EdgeColorError, TooLarge, OSError) as exc:
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (EdgeColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

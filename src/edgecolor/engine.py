@@ -31,7 +31,7 @@ from .errors import (
     InsufficientColors,
 )
 from .graph import Graph
-from .state import BLANK, FLAGGED, NO_EDGE, ColoringState
+from .state import BLANK, FLAGGED, NO_EDGE, ColoringState, flagged_subgraph
 
 
 def _ceil(value: float) -> int:
@@ -148,6 +148,9 @@ class RunStats:
         self.restarts_used = 0
         self.fallback_used = False
         self.max_color_used = 0
+        # One line per failed attempt of run_full; kept out of the text and
+        # CSV forms so stats files do not change with the message wording.
+        self.restart_causes: list[str] = []
 
     @classmethod
     def for_run(cls, g: Graph, cfg: RunConfig) -> "RunStats":
@@ -532,8 +535,9 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
 def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunStats]:
     """Produce a proper coloring of g with at most ceil((1+epsilon)*Delta) colors.
 
-    Raises ColoringFailed when the flagged subgraph ends up denser than
-    epsilon*Delta/6, in which case the caller may retry with fresh randomness
+    Raises ColoringFailed as soon as a flag pushes the flagged subgraph's
+    degree past epsilon*Delta/6: flags are never lifted in stage 1, so the
+    attempt is already lost, and the caller may retry with fresh randomness
     (see run_full).  On success the returned state has no blank and no
     flagged edges.
     """
@@ -552,6 +556,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     ell = cfg.ell(delta)
     rounds = cfg.rounds(delta)
     floor_q = cfg.palette_floor(delta)
+    bound = cfg.epsilon * delta / 6.0
 
     state = ColoringState(g, q_cap)
     eu = g.edge_u
@@ -566,6 +571,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     pool = list(range(m))
     path_counts = [0] * (ell + 1)
     iter_counts = [0] * (rounds + 1)
+    flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     raw = _color_one_raw
     sampler_first = sampler.first
     for i in range(m):
@@ -587,41 +593,55 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
                 stats.flags_pivot += 1
             else:
                 stats.flags_maxiter += 1
-    assert state.colored_count + state.flagged_count == m
-    stats.stage1_us = (time.perf_counter_ns() - t0) // 1000
-    stats.colored_stage1 = state.colored_count
-    stats.flagged_count = state.flagged_count
-    assert stats.flags_total == state.flagged_count
-    stats.path_hist = {length: c for length, c in enumerate(path_counts) if c}
-    stats.iteration_hist = {t: c for t, c in enumerate(iter_counts) if c}
+            fu = eu[fedge]
+            fv = ev[fedge]
+            flag_degree[fu] += 1
+            flag_degree[fv] += 1
+            worst = max(flag_degree[fu], flag_degree[fv])
+            if worst > bound:
+                _stage1_stats(stats, state, t0, path_counts, iter_counts)
+                stats.delta_gstar = worst
+                raise ColoringFailed(
+                    f"flagged subgraph degree {worst} exceeds eps*D/6 = {bound:.3f} "
+                    f"after {i + 1} of {m} edges",
+                    stats=stats,
+                    gstar_degree=worst,
+                )
+    _stage1_stats(stats, state, t0, path_counts, iter_counts)
+    _check(state.colored_count + state.flagged_count == m, "colored + flagged == m")
+    _check(stats.flags_total == state.flagged_count, "flag reasons add up to flagged_count")
 
     t1 = time.perf_counter_ns()
-    flagged = state.flagged_edges()
-    if flagged:
-        from .graph import build_graph
-
-        gstar = build_graph([g.edges[e] for e in flagged], g.n)
-        dstar = gstar.max_degree
+    if state.flagged_count:
+        gstar, dstar = flagged_subgraph(state, g)
         stats.delta_gstar = dstar
-        stats.gstar_edges = len(flagged)
-        if dstar > cfg.epsilon * delta / 6.0:
-            stats.stage2_us = (time.perf_counter_ns() - t1) // 1000
-            raise ColoringFailed(
-                f"flagged subgraph degree {dstar} exceeds "
-                f"{cfg.epsilon * delta / 6.0:.3f}",
-                stats=stats,
-                gstar_degree=dstar,
-            )
         q2 = 3 * dstar
+        _check(q1 + q2 <= q_cap, f"q1 + q2 = {q1} + {q2} <= q_cap = {q_cap}")
         sub = greedy_color(gstar, q2, rng, stats=stats)
-        assert q1 + q2 <= q_cap
-        for i, e in enumerate(flagged):
+        for i, e in enumerate(state.flagged_edges()):
             state._unflag(e)
             state.assign(e, q1 + sub.slot[i])
     stats.stage2_us = (time.perf_counter_ns() - t1) // 1000
     stats.max_color_used = state.max_color_used()
-    assert stats.max_color_used <= q_cap
+    _check(stats.max_color_used <= q_cap, f"max color {stats.max_color_used} <= q_cap = {q_cap}")
     return state, stats
+
+
+def _stage1_stats(stats, state, t0, path_counts, iter_counts) -> None:
+    # A module-level helper, not a closure: closing over the stage-1 locals
+    # would turn them into cell variables and slow every read in the loop.
+    stats.stage1_us = (time.perf_counter_ns() - t0) // 1000
+    stats.colored_stage1 = state.colored_count
+    stats.flagged_count = state.flagged_count
+    stats.gstar_edges = state.flagged_count
+    stats.path_hist = {length: c for length, c in enumerate(path_counts) if c}
+    stats.iteration_hist = {t: c for t, c in enumerate(iter_counts) if c}
+
+
+def _check(ok: bool, contract: str) -> None:
+    # Once-per-run output contract; unlike assert, it still runs under python -O.
+    if not ok:
+        raise ImproperAugment(f"edge_color contract violated: {contract}")
 
 
 def run_full(g: Graph, cfg: RunConfig) -> tuple[ColoringState, RunStats]:
@@ -630,26 +650,33 @@ def run_full(g: Graph, cfg: RunConfig) -> tuple[ColoringState, RunStats]:
     Attempt i runs with randomness derived from (cfg.seed, i); up to
     1 + max_restarts attempts are made.  If all fail and
     small_delta_fallback is set, the whole graph is greedy-colored with
-    2*Delta - 1 colors, so a proper coloring is always returned.
+    2*Delta - 1 colors, so a proper coloring is always returned.  The
+    returned stats list why each failed attempt failed in restart_causes.
     """
     cfg.check()
+    causes = []
     for attempt in range(cfg.max_restarts + 1):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, attempt)))
         try:
             state, stats = edge_color(g, cfg, rng)
-        except ColoringFailed:
+        except ColoringFailed as exc:
+            causes.append(f"attempt {attempt}: {exc}")
             continue
         stats.restarts_used = attempt
+        stats.restart_causes = causes
         return state, stats
     if cfg.small_delta_fallback:
         delta = g.max_degree
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, cfg.max_restarts + 1)))
         stats = RunStats.for_run(g, cfg)
         stats.restarts_used = cfg.max_restarts
+        stats.restart_causes = causes
         stats.fallback_used = True
         t0 = time.perf_counter_ns()
         state = greedy_color(g, max(1, 2 * delta - 1), rng, stats=stats)
         stats.stage2_us = (time.perf_counter_ns() - t0) // 1000
         stats.max_color_used = state.max_color_used()
         return state, stats
-    raise Exhausted(f"all {cfg.max_restarts + 1} attempts failed and fallback is disabled")
+    raise Exhausted(
+        f"all {cfg.max_restarts + 1} attempts failed and fallback is disabled", causes=causes
+    )

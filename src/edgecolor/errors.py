@@ -34,7 +34,7 @@ class ImproperShift(EdgeColorError):
 
 
 class ImproperAugment(EdgeColorError):
-    """Internal contract violation while augmenting a chain."""
+    """Internal contract violation while augmenting a chain or finishing a run."""
 
 
 class EmptyPool(EdgeColorError):
@@ -46,9 +46,10 @@ class InsufficientColors(EdgeColorError):
 
 
 class ColoringFailed(EdgeColorError):
-    """Stage 1 left a flagged subgraph that is too dense; the run must restart.
+    """Stage 1 made the flagged subgraph too dense; the run must restart.
 
-    Carries the stats of the failed run and the offending flagged-subgraph degree.
+    Carries the stats of the failed run up to the abort and the offending
+    flagged-subgraph degree.
     """
 
     def __init__(self, message, stats=None, gstar_degree=None):
@@ -58,7 +59,14 @@ class ColoringFailed(EdgeColorError):
 
 
 class Exhausted(EdgeColorError):
-    """All restarts failed and the greedy fallback is disabled."""
+    """All restarts failed and the greedy fallback is disabled.
+
+    ``causes`` holds one line per failed attempt.
+    """
+
+    def __init__(self, message, causes=()):
+        super().__init__(message)
+        self.causes = list(causes)
 
 
 class TooLarge(EdgeColorError):

@@ -21,6 +21,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import AlreadyColored, EdgeNotBlank, ImproperAssignment, NotColored
 from .graph import Graph, build_graph
 
@@ -144,7 +146,7 @@ class ColoringState:
         return [e for e, c in enumerate(self.slot) if c > 0]
 
     def flagged_edges(self) -> list[int]:
-        return [e for e, c in enumerate(self.slot) if c == FLAGGED]
+        return np.flatnonzero(np.asarray(self.slot) == FLAGGED).tolist()
 
     def max_color_used(self) -> int:
         return max((c for c in self.slot if c > 0), default=0)

@@ -137,3 +137,68 @@ def test_two_processes_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append((coloring.read_bytes(), stats.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_restart_causes_and_fallback_on_stderr(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    run_cli("gen", "--model", "random_regular", "--n", "300", "--d", "4", "--seed", "1",
+            "--out", str(graph))
+    capsys.readouterr()
+    assert run_cli("color", "--input", str(graph), "--seed", "1",
+                   "--output", str(tmp_path / "c.txt")) == 0
+    err = capsys.readouterr().err.splitlines()
+    restarts = [line for line in err if line.startswith("restart: attempt ")]
+    assert len(restarts) == 4
+    assert all("exceeds eps*D/6 = 0.333 after" in line for line in restarts)
+    assert any(line.startswith("fallback: all 4 attempts failed") for line in err)
+    assert run_cli("color", "--input", str(graph), "--seed", "1", "--no-fallback",
+                   "--output", str(tmp_path / "c2.txt")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("restart: ")]) == 4
+    assert err[-1].startswith("FAIL: all 4 attempts failed")
+
+
+def _assert_usage_error(capsys, *argv):
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _graph(tmp_path):
+    graph = tmp_path / "g.txt"
+    run_cli("gen", "--model", "complete", "--n", "4", "--out", str(graph))
+    return str(graph)
+
+
+def test_color_epsilon_out_of_range_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), "--epsilon", "1.5")
+
+
+def test_color_negative_max_restarts_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), "--max-restarts", "-1")
+
+
+def test_color_negative_seed_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), "--seed", "-1")
+
+
+def test_non_integer_seed_env_var_is_usage_error(tmp_path, monkeypatch, capsys):
+    graph = _graph(tmp_path)
+    monkeypatch.setenv("EDGECOLOR_SEED", "abc")
+    _assert_usage_error(capsys, "color", "--input", graph)
+
+
+def test_bench_empty_epsilons_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(capsys, "bench", "--sizes", "200", "--epsilons", "", "--trials", "1",
+                        "--out", str(tmp_path / "b.csv"))
+
+
+def test_bench_non_numeric_sizes_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(capsys, "bench", "--sizes", "x", "--epsilons", "0.5", "--trials", "1",
+                        "--out", str(tmp_path / "b.csv"))
+
+
+def test_bench_zero_delta_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(capsys, "bench", "--sizes", "100", "--epsilons", "0.5", "--trials", "1",
+                        "--delta", "0", "--out", str(tmp_path / "b.csv"))

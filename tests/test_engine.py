@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from edgecolor import (
+    FLAGGED,
     ColoringFailed,
+    ColoringState,
     EmptyPool,
     Exhausted,
     FlagReason,
@@ -14,6 +18,8 @@ from edgecolor import (
     build_graph,
     color_one,
     edge_color,
+    engine,
+    flagged_subgraph,
     greedy_color,
     new_state,
     run_full,
@@ -354,6 +360,123 @@ def test_run_full_restart_seed_derivation():
     st2, stats2 = run_full(g, cfg)
     assert st1.slot == st2.slot
     assert stats1.restarts_used == stats2.restarts_used
+
+
+# ---------------------------------------------------------------------------
+# Early abort of a doomed attempt, and the once-per-run contract checks
+# ---------------------------------------------------------------------------
+
+
+def _flag_degrees(state):
+    """Per-vertex count of incident FLAGGED edges, read off the slot array."""
+    g = state.graph
+    counts = [0] * g.n
+    for e in state.flagged_edges():
+        counts[g.edge_u[e]] += 1
+        counts[g.edge_v[e]] += 1
+    return counts
+
+
+# (graph, config) pairs whose seeded attempts both fail and succeed.
+_ABORT_GRID = [
+    (random_regular(300, 4, rng_for(1)), RunConfig(epsilon=0.5)),        # bound 0.33
+    (random_regular(200, 12, rng_for(1)), RunConfig(epsilon=0.5)),       # bound 1
+    (random_regular(200, 24, rng_for(2)), RunConfig(epsilon=0.5, kappa_const=0.3)),  # bound 2
+]
+
+
+def test_failed_attempt_stops_at_first_flag_past_bound(monkeypatch):
+    made = []
+
+    def capture(*args):
+        made.append(ColoringState(*args))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "ColoringState", capture)
+    failures = 0
+    for g, cfg in _ABORT_GRID:
+        bound = cfg.epsilon * g.max_degree / 6.0
+        for seed in range(4):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+            try:
+                edge_color(g, cfg, rng)
+            except ColoringFailed as exc:
+                failures += 1
+                state, stats = made[-1], exc.stats
+                degrees = _flag_degrees(state)
+                assert exc.gstar_degree > bound
+                assert max(degrees) == exc.gstar_degree == stats.delta_gstar
+                assert stats.flagged_count == stats.gstar_edges == sum(
+                    1 for c in state.slot if c == FLAGGED)
+                assert stats.colored_stage1 == state.colored_count
+                processed = stats.colored_stage1 + stats.flagged_count
+                assert processed < len(g.edges)
+                assert f"after {processed} of {len(g.edges)} edges" in str(exc)
+                assert stats.flags_total == stats.flagged_count
+    assert failures >= 4
+
+
+def test_success_reports_stage1_flagged_degree(monkeypatch):
+    seen = []
+
+    def spy(state, graph=None):
+        result = flagged_subgraph(state, graph)
+        seen.append((max(_flag_degrees(state)), result[1]))
+        return result
+
+    monkeypatch.setattr(engine, "flagged_subgraph", spy)
+    checked = 0
+    for g, cfg in _ABORT_GRID[1:] + [(random_regular(400, 40, rng_for(2)), RunConfig(epsilon=0.5))]:
+        bound = cfg.epsilon * g.max_degree / 6.0
+        for seed in range(4):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+            seen.clear()
+            try:
+                _, stats = edge_color(g, cfg, rng)
+            except ColoringFailed:
+                continue
+            if not seen:
+                assert stats.flagged_count == stats.delta_gstar == 0
+                continue
+            checked += 1
+            assert seen == [(stats.delta_gstar, stats.delta_gstar)]
+            assert 0 < stats.delta_gstar <= bound
+    assert checked >= 3
+
+
+def test_run_full_keeps_restart_causes():
+    g = random_regular(300, 4, rng_for(1))
+    _, stats = run_full(g, RunConfig(epsilon=0.5, seed=1))
+    assert stats.fallback_used
+    assert [c.split(":")[0] for c in stats.restart_causes] == [f"attempt {i}" for i in range(4)]
+    assert all("exceeds eps*D/6 = 0.333 after" in c for c in stats.restart_causes)
+    with pytest.raises(Exhausted) as info:
+        run_full(g, RunConfig(epsilon=0.5, seed=1, small_delta_fallback=False))
+    assert info.value.causes == stats.restart_causes
+    _, ok = run_full(cycle(5), RunConfig(epsilon=0.9, seed=0))
+    assert len(ok.restart_causes) == ok.restarts_used
+
+
+_CONTRACT_UNDER_O = """
+import numpy as np
+from edgecolor import ImproperAugment, RunConfig, edge_color, engine
+from edgecolor.generators import random_regular
+
+real = engine.flagged_subgraph
+engine.flagged_subgraph = lambda state, g: (real(state, g)[0], 1000)
+g = random_regular(400, 40, np.random.default_rng(np.random.SeedSequence(2)))
+try:
+    edge_color(g, RunConfig(epsilon=0.5), np.random.default_rng(np.random.SeedSequence((2, 0))))
+except ImproperAugment as exc:
+    print(exc)
+"""
+
+
+def test_contract_checks_survive_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", _CONTRACT_UNDER_O],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "contract violated: q1 + q2" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
