@@ -44,12 +44,13 @@ from .errors import (
 )
 from .generators import GenSpec, generate
 from .graph import Graph, build_graph
-from .oracle import OracleResult, brute_chromatic_index, check_extension_exists, find_conflicts
+from .oracle import OracleResult, brute_chromatic_index, check_extension_exists
 from .state import (
     BLANK,
     FLAGGED,
     ColoringState,
     ValidationReport,
+    find_conflicts,
     flagged_subgraph,
     new_state,
     validate_proper,

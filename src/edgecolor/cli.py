@@ -17,6 +17,7 @@ from .errors import EdgeColorError, Exhausted
 from .fileio import read_coloring, read_edge_list, write_coloring, write_edge_list
 from .generators import GenSpec, generate
 from .oracle import brute_chromatic_index
+from .state import find_conflicts
 
 
 class UsageError(Exception):
@@ -164,21 +165,11 @@ def _cmd_color(args) -> int:
 def _cmd_verify(args) -> int:
     g, labels = read_edge_list(args.input)
     colors = read_coloring(args.coloring, g, labels)
-    problems = []
-    for x in range(g.n):
-        seen: dict[int, int] = {}
-        for _, eid in g.adjacency[x]:
-            c = colors[eid]
-            if c > 0:
-                if c in seen:
-                    e1, e2 = seen[c], eid
-                    problems.append(
-                        f"conflict: edges {labels[g.edge_u[e1]]}-{labels[g.edge_v[e1]]} and "
-                        f"{labels[g.edge_u[e2]]}-{labels[g.edge_v[e2]]} share color {c} "
-                        f"at vertex {labels[x]}"
-                    )
-                else:
-                    seen[c] = eid
+    problems = [
+        f"conflict: edges {labels[g.edge_u[e1]]}-{labels[g.edge_v[e1]]} and "
+        f"{labels[g.edge_u[e2]]}-{labels[g.edge_v[e2]]} share color {c} at vertex {labels[x]}"
+        for e1, e2, x, c in find_conflicts(g, colors)
+    ]
     uncolored = sum(1 for c in colors if c == 0)
     if uncolored:
         problems.append(f"incomplete: {uncolored} edges have color 0")
@@ -203,6 +194,8 @@ def _cmd_bench(args) -> int:
     seed = _seed(args)
     for eps in epsilons:
         _checked(RunConfig(epsilon=eps))
+    if args.trials < 0:
+        raise UsageError(f"--trials must be non-negative, got {args.trials}")
     if args.delta < 1:
         raise UsageError(f"--delta must be at least 1, got {args.delta}")
     cfg = RunConfig(epsilon=epsilons[0], seed=seed)

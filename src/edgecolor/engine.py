@@ -31,7 +31,7 @@ from .errors import (
     InsufficientColors,
 )
 from .graph import Graph
-from .state import BLANK, FLAGGED, NO_EDGE, ColoringState, flagged_subgraph
+from .state import BLANK, FLAGGED, ColoringState, flagged_subgraph
 
 
 def _ceil(value: float) -> int:
@@ -217,26 +217,6 @@ class RunStats:
         """Flat key=value block; timings are optional so output can be byte-reproducible."""
         return "\n".join(f"{k}={v}" for k, v in self._pairs(include_timings)) + "\n"
 
-    CSV_FIELDS = (
-        "n", "m", "delta", "epsilon", "kappa", "ell", "rounds", "q1", "q_cap", "seed",
-        "stage1_us", "stage2_us", "colored_stage1", "flagged_count", "flags_fan",
-        "flags_pivot", "flags_maxiter", "palette_floor_hits", "shift_count",
-        "delta_gstar", "gstar_edges", "greedy_draws", "restarts_used",
-        "fallback_used", "max_color_used", "path_len_max",
-    )
-
-    def to_csv_row(self) -> list:
-        path_max = max(self.path_hist, default=0)
-        return [
-            self.n, self.m, self.delta, self.epsilon, self.kappa, self.ell,
-            self.rounds, self.q1, self.q_cap, self.seed, self.stage1_us,
-            self.stage2_us, self.colored_stage1, self.flagged_count,
-            self.flags_fan, self.flags_pivot, self.flags_maxiter,
-            self.palette_floor_hits, self.shift_count, self.delta_gstar,
-            self.gstar_edges, self.greedy_draws, self.restarts_used,
-            int(self.fallback_used), self.max_color_used, path_max,
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Palette sampling.
@@ -405,15 +385,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
         # next (disjoint) palette.
         lp = int(rng.integers(1, ell + 1))
         cut = pe[lp - 1]
-        cc = slot[cut]
-        cu = eu[cut]
-        cv = ev[cut]
-        slot[cut] = BLANK
-        miss[cu][cc] = NO_EDGE
-        miss[cv][cc] = NO_EDGE
-        pres[cu][cc] = 0
-        pres[cv][cc] = 0
-        state.colored_count -= 1
+        state.unassign(cut)
         try:
             _flip_core(state, pv[:lp], pe[: lp - 1], alpha, beta)
             _shift_core(state, x, leaves[:j], leaf_eids[:j])

@@ -105,6 +105,8 @@ def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
             raise MalformedInput(f"line {lineno}: bad color {tc!r}") from None
         if c < 0:
             raise MalformedInput(f"line {lineno}: negative color {c}")
+        if c >= 1 << 63:
+            raise MalformedInput(f"line {lineno}: color {c} does not fit in 64 bits")
         colors[e] = c
     missing = [e for e, c in enumerate(colors) if c is None]
     if missing:

@@ -140,7 +140,7 @@ def random_regular(n: int, d: int, rng, max_attempts: int = 50) -> Graph:
             bad = ~ok
             if not bad.any():
                 pairs = np.concatenate(accepted_u)
-                return build_graph(pairs.tolist(), n)
+                return build_graph(pairs, n)
             if stalls >= 5:
                 break  # this attempt is stuck; restart with a fresh shuffle
             stubs = np.concatenate([u[bad], v[bad]])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import MalformedInput
 
 
@@ -16,23 +18,21 @@ class Graph:
     Attributes:
         n: vertex count.
         edges: list of (u, v) pairs with u < v, indexed by edge id.
-        adjacency: per-vertex list of (neighbor, edge id).
         degrees: per-vertex degree.
         max_degree: maximum degree over all vertices (0 for edgeless graphs).
         edge_u / edge_v: flat endpoint arrays, so hot loops can avoid
             unpacking tuples (edge_u[e], edge_v[e]) == edges[e].
     """
 
-    __slots__ = ("n", "edges", "adjacency", "degrees", "max_degree", "edge_u", "edge_v")
+    __slots__ = ("n", "edges", "degrees", "max_degree", "edge_u", "edge_v")
 
-    def __init__(self, n, edges, adjacency, degrees):
+    def __init__(self, n, edge_u, edge_v, degrees):
         self.n = n
-        self.edges = edges
-        self.adjacency = adjacency
+        self.edges = list(zip(edge_u, edge_v))
         self.degrees = degrees
         self.max_degree = max(degrees, default=0)
-        self.edge_u = [e[0] for e in edges]
-        self.edge_v = [e[1] for e in edges]
+        self.edge_u = edge_u
+        self.edge_v = edge_v
 
     @property
     def m(self) -> int:
@@ -42,76 +42,40 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)}, max_degree={self.max_degree})"
 
 
-_BULK_THRESHOLD = 20_000
-
-
 def build_graph(edge_pairs, n) -> Graph:
     """Validate an edge list and build a Graph on vertices 0..n-1.
 
     Rejects self-loops, duplicate edges (in either orientation), and
-    out-of-range endpoints with MalformedInput.
+    out-of-range endpoints with MalformedInput naming the first offending
+    edge in input order.
     """
     if n < 0:
         raise MalformedInput(f"vertex count must be non-negative, got {n}")
-    edge_pairs = list(edge_pairs)
-    if len(edge_pairs) >= _BULK_THRESHOLD:
-        return _build_bulk(edge_pairs, n)
-    edges: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    degrees = [0] * n
-    ids = list(range(n))  # one shared int object per vertex keeps hot reads compact
-    for u, v in edge_pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise MalformedInput(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-        if u == v:
-            raise MalformedInput(f"self-loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        key = u * n + v
-        if key in seen:
-            raise MalformedInput(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        u = ids[u]
-        v = ids[v]
-        eid = len(edges)
-        edges.append((u, v))
-        adjacency[u].append((v, eid))
-        adjacency[v].append((u, eid))
-        degrees[u] += 1
-        degrees[v] += 1
-    return Graph(n, edges, adjacency, degrees)
-
-
-def _build_bulk(edge_pairs, n) -> Graph:
-    # Same contract as the plain loop; validation runs vectorized so that
-    # benchmark-size instances do not spend seconds in pure-Python checks.
-    import numpy as np
-
-    arr = np.asarray(edge_pairs, dtype=np.int64)
+    try:
+        arr = np.asarray(edge_pairs, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        raise MalformedInput("edge list must be pairs of integers") from None
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise MalformedInput("edge list must be pairs")
-    if arr.min(initial=0) < 0 or arr.max(initial=-1) >= n:
-        raise MalformedInput(f"an edge endpoint lies outside [0, {n})")
+        raise MalformedInput("edge list must be pairs of integers")
     u = arr.min(axis=1)
     v = arr.max(axis=1)
-    if bool((u == v).any()):
-        w = int(u[int(np.argmax(u == v))])
-        raise MalformedInput(f"self-loop at vertex {w}")
+    outside = (u < 0) | (v >= n)
+    loop = u == v
     keys = u * n + v
-    if len(np.unique(keys)) != len(keys):
-        raise MalformedInput("duplicate edge in input")
-    ids = list(range(n))  # shared int object per vertex, as in the plain path
-    eu = [ids[x] for x in u.tolist()]
-    ev = [ids[x] for x in v.tolist()]
-    edges = list(zip(eu, ev))
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    degrees = [0] * n
-    for eid in range(len(edges)):
-        a = eu[eid]
-        b = ev[eid]
-        adjacency[a].append((b, eid))
-        adjacency[b].append((a, eid))
-        degrees[a] += 1
-        degrees[b] += 1
-    return Graph(n, edges, adjacency, degrees)
+    duplicate = np.ones(len(keys), dtype=bool)
+    duplicate[np.unique(keys, return_index=True)[1]] = False  # keep first occurrences
+    bad = np.flatnonzero(outside | loop | duplicate)
+    if len(bad):
+        i = int(bad[0])
+        a, b = arr[i].tolist()
+        if outside[i]:
+            raise MalformedInput(f"edge ({a}, {b}) has an endpoint outside [0, {n})")
+        if loop[i]:
+            raise MalformedInput(f"self-loop at vertex {a}")
+        raise MalformedInput(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+    ids = list(range(n))  # one shared int object per vertex keeps hot reads compact
+    edge_u = [ids[x] for x in u.tolist()]
+    edge_v = [ids[x] for x in v.tolist()]
+    return Graph(n, edge_u, edge_v, np.bincount(arr.ravel(), minlength=n).tolist())

@@ -1,9 +1,9 @@
 """Exhaustive ground truth for desk-size instances.
 
-Everything here works from the raw graph and per-vertex color bitmasks only,
-never from a ColoringState's missing tables, so it stays independent of the
-machinery it is used to check.  The m <= 16 guard keeps the backtracking
-honest (pure exhaustive search) yet fast.
+The searches here work from the raw graph and per-vertex color bitmasks
+only, never from a ColoringState's missing tables, so they stay independent
+of the machinery they are used to check.  The m <= 16 guard keeps the
+backtracking honest (pure exhaustive search) yet fast.
 """
 
 from __future__ import annotations
@@ -100,20 +100,3 @@ def check_extension_exists(state: ColoringState, e: int) -> bool:
     order = _ordered(g, targets)
     return _search(g.n, len(targets), order, state.q) is not None
 
-
-def find_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:
-    """Independent properness check of a per-edge color list (0 = uncolored).
-
-    Returns (edge1, edge2, vertex, color) for every clashing incident pair.
-    """
-    conflicts = []
-    for x in range(g.n):
-        seen: dict[int, int] = {}
-        for _, eid in g.adjacency[x]:
-            c = colors[eid]
-            if c > 0:
-                if c in seen:
-                    conflicts.append((seen[c], eid, x, c))
-                else:
-                    seen[c] = eid
-    return conflicts

@@ -8,9 +8,9 @@ An edge slot is one of:
 
 Per vertex x and color c, ``missing[x][c]`` holds the id of the unique
 incident edge colored c, or -1 when no such edge exists (i.e. c is missing
-at x).  All single-edge mutations are O(1); ``validate_proper`` is the
-independent full-rescan checker and deliberately never trusts these tables
-for its properness verdict.
+at x).  All single-edge mutations are O(1); ``find_conflicts`` is the
+independent properness check, and ``validate_proper`` takes its verdict
+from it, never from these tables.
 
 A ColoringState has a single writer; distinct states may be driven from
 different threads concurrently.
@@ -181,58 +181,76 @@ class ValidationReport:
         )
 
 
+def find_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:
+    """Every clash in a per-edge color sequence (values <= 0 are uncolored).
+
+    Returns one (edge1, edge2, vertex, color) tuple per colored edge2 that
+    meets a lower-id edge of the same color at vertex; edge1 is the lowest-id
+    edge of that color there.  Tuples are ordered by (vertex, edge2).  Only
+    the endpoint arrays and ``colors`` are read, never a ColoringState's
+    tables, so this is the package's independent properness check.
+    """
+    c = np.asarray(colors, dtype=np.int64)
+    e = np.flatnonzero(c > 0)
+    vertex = np.concatenate((np.asarray(g.edge_u, dtype=np.int64)[e],
+                             np.asarray(g.edge_v, dtype=np.int64)[e]))
+    edge = np.concatenate((e, e))
+    color = c[edge]
+    order = np.lexsort((edge, color, vertex))
+    vertex, color, edge = vertex[order], color[order], edge[order]
+    repeat = np.zeros(len(edge), dtype=bool)
+    repeat[1:] = (vertex[1:] == vertex[:-1]) & (color[1:] == color[:-1])
+    # Each run of equal (vertex, color) starts with its lowest-id edge.
+    first = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(edge))))
+    at = np.flatnonzero(repeat)
+    at = at[np.lexsort((edge[at], vertex[at]))]
+    return list(zip(edge[first[at]].tolist(), edge[at].tolist(),
+                    vertex[at].tolist(), color[at].tolist()))
+
+
 def validate_proper(state: ColoringState, graph: Graph | None = None) -> ValidationReport:
     """Full rescan of slots and tables; the package's independent checker.
 
-    The properness verdict is computed from the slot array and adjacency
-    lists alone, so corrupted missing tables cannot mask a conflict.  Table
-    consistency is then cross-checked separately in both directions.
+    The properness verdict is ``find_conflicts`` over the slot array, so
+    corrupted missing tables cannot mask a conflict.  The tables are then
+    cross-checked against the slots in both directions.
     """
     g = graph if graph is not None else state.graph
-    report = ValidationReport()
-    slot = state.slot
     q = state.q
-
-    for e, c in enumerate(slot):
-        if c > 0:
-            report.colored_count += 1
-            if c > q:
-                report.range_errors.append(f"edge {e} holds color {c} > q={q}")
-        elif c == BLANK:
-            report.blank_count += 1
-        elif c == FLAGGED:
-            report.flagged_count += 1
+    slot = np.asarray(state.slot, dtype=np.int64)
+    report = ValidationReport(conflicts=find_conflicts(g, slot))
+    report.colored_count = int(np.count_nonzero(slot > 0))
+    report.blank_count = int(np.count_nonzero(slot == BLANK))
+    report.flagged_count = int(np.count_nonzero(slot == FLAGGED))
+    for e in np.flatnonzero((slot > q) | (slot < FLAGGED)).tolist():
+        c = int(slot[e])
+        if c > q:
+            report.range_errors.append(f"edge {e} holds color {c} > q={q}")
         else:
             report.range_errors.append(f"edge {e} holds invalid slot value {c}")
 
-    # Properness: scan each vertex's incident colored edges for repeats.
-    for x in range(g.n):
-        seen: dict[int, int] = {}
-        for _, eid in g.adjacency[x]:
-            c = slot[eid]
-            if c > 0:
-                if c in seen:
-                    report.conflicts.append((seen[c], eid, x, c))
-                else:
-                    seen[c] = eid
-        # Cross-check the missing table against the rescan.
-        row = state.missing[x]
-        for c, eid in seen.items():
-            if c <= q and row[c] != eid:
-                report.table_errors.append(
-                    f"missing[{x}][{c}] = {row[c]}, expected edge {eid}"
-                )
-        recorded = sum(1 for c in range(1, q + 1) if row[c] >= 0)
-        if recorded != len([c for c in seen if c <= q]):
+    # The edge-id table the slots imply: lowest-id edge per (vertex, color <= q).
+    colored = np.flatnonzero((slot > 0) & (slot <= q))
+    expected = np.full((g.n, q + 1), len(slot), dtype=np.int64)
+    for ends in (g.edge_u, g.edge_v):
+        at = np.asarray(ends, dtype=np.int64)[colored]
+        np.minimum.at(expected, (at, slot[colored]), colored)
+    expected[expected == len(slot)] = NO_EDGE
+    table = np.frombuffer(b"".join(state.missing), dtype=np.intc).reshape(g.n, q + 1)
+    for x, c in np.argwhere(table != expected).tolist():
+        if expected[x, c] >= 0:
             report.table_errors.append(
-                f"missing[{x}] records {recorded} colors, rescan found {len(seen)}"
+                f"missing[{x}][{c}] = {table[x, c]}, expected edge {expected[x, c]}"
             )
-        flags = state.present[x]
-        for c in range(1, q + 1):
-            if bool(flags[c]) != (row[c] >= 0):
-                report.table_errors.append(
-                    f"present[{x}][{c}] = {flags[c]} disagrees with the edge-id table"
-                )
+        else:
+            report.table_errors.append(
+                f"missing[{x}][{c}] = {table[x, c]}, but no edge of color {c} is at vertex {x}"
+            )
+    present = np.frombuffer(b"".join(state.present), dtype=np.uint8).reshape(g.n, q + 1)
+    for x, c in np.argwhere((present != 0) != (table >= 0)).tolist():
+        report.table_errors.append(
+            f"present[{x}][{c}] = {present[x, c]} disagrees with the edge-id table"
+        )
 
     if report.colored_count != state.colored_count:
         report.table_errors.append(

@@ -62,6 +62,25 @@ def random_partial_state(g: Graph, q: int, rng, fill=0.6, flag_frac=0.05) -> Col
     return state
 
 
+def reference_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:
+    """Per-vertex scan in edge-id order: the reference ``find_conflicts`` must match."""
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    conflicts = []
+    for x in range(g.n):
+        seen: dict[int, int] = {}
+        for e in incident[x]:
+            c = colors[e]
+            if c > 0:
+                if c in seen:
+                    conflicts.append((seen[c], e, x, c))
+                else:
+                    seen[c] = e
+    return conflicts
+
+
 def dom_and_flg(state: ColoringState) -> tuple[frozenset, frozenset]:
     """Colored and flagged edge-id sets read straight off the slot array."""
     dom = frozenset(e for e, c in enumerate(state.slot) if c > 0)

@@ -202,3 +202,8 @@ def test_bench_non_numeric_sizes_is_usage_error(tmp_path, capsys):
 def test_bench_zero_delta_is_usage_error(tmp_path, capsys):
     _assert_usage_error(capsys, "bench", "--sizes", "100", "--epsilons", "0.5", "--trials", "1",
                         "--delta", "0", "--out", str(tmp_path / "b.csv"))
+
+
+def test_bench_negative_trials_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(capsys, "bench", "--sizes", "100", "--epsilons", "0.5", "--trials", "-1",
+                        "--out", str(tmp_path / "b.csv"))

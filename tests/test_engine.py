@@ -493,5 +493,3 @@ def test_stats_text_and_csv():
     assert "path_hist=" in text
     bare = stats.to_text(include_timings=False)
     assert "stage1_us=" not in bare
-    row = stats.to_csv_row()
-    assert len(row) == len(RunStats.CSV_FIELDS)

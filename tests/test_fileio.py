@@ -1,6 +1,6 @@
 import pytest
 
-from edgecolor import MalformedInput, RunConfig, run_full
+from edgecolor import MalformedInput, RunConfig, find_conflicts, run_full
 from edgecolor.fileio import (
     format_coloring,
     format_edge_list,
@@ -48,6 +48,19 @@ def test_parse_coloring_rejects_duplicates_and_gaps():
         parse_coloring("\n".join(lines + [lines[0]]), g, labels)
     with pytest.raises(MalformedInput):
         parse_coloring("\n".join(lines[:-1]), g, labels)
+
+
+def test_parse_coloring_rejects_colors_beyond_64_bits():
+    # The properness check reads colors as int64; a larger one is bad input.
+    g, labels, st = make_colored()
+    lines = format_coloring(g, st.slot, labels).strip().splitlines()
+    u, v, _ = lines[0].split()
+    lines[0] = f"{u} {v} {(1 << 63) - 1}"
+    colors = parse_coloring("\n".join(lines), g, labels)
+    assert colors[0] == (1 << 63) - 1 and not find_conflicts(g, colors)
+    lines[0] = f"{u} {v} {1 << 63}"
+    with pytest.raises(MalformedInput, match="does not fit in 64 bits"):
+        parse_coloring("\n".join(lines), g, labels)
 
 
 def test_parse_coloring_reversed_endpoints_ok():

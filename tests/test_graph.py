@@ -32,14 +32,24 @@ def test_rejects_out_of_range():
         build_graph([(-1, 0)], 3)
 
 
-def test_adjacency_is_symmetric_and_consistent():
+def test_degrees_match_edge_incidences():
     g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
-    for x in range(g.n):
-        for nbr, eid in g.adjacency[x]:
-            assert set(g.edges[eid]) == {x, nbr}
-            assert (x, eid) in g.adjacency[nbr]
-    assert g.max_degree == max(len(a) for a in g.adjacency)
-    assert g.degrees == [len(a) for a in g.adjacency]
+    assert g.degrees == [sum(x in edge for edge in g.edges) for x in range(g.n)]
+    assert g.max_degree == max(g.degrees)
+
+
+@pytest.mark.parametrize("position, fault, message", [
+    (20_500, (18, 17), "duplicate edge (17, 18)"),
+    (21_000, (9, 9), "self-loop at vertex 9"),
+    (20_900, (5, 25_001), "edge (5, 25001) has an endpoint outside [0, 25001)"),
+], ids=["duplicate", "self-loop", "out-of-range"])
+def test_large_input_errors_name_the_edge(position, fault, message):
+    n = 25_001
+    pairs = [(i, i + 1) for i in range(n - 1)]  # a path: 25k edges
+    pairs[position] = fault
+    with pytest.raises(MalformedInput) as info:
+        build_graph(pairs, n)
+    assert str(info.value) == message
 
 
 def test_empty_graph():

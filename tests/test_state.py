@@ -1,6 +1,8 @@
 import time
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from edgecolor import (
     AlreadyColored,
@@ -8,6 +10,7 @@ from edgecolor import (
     ImproperAssignment,
     NotColored,
     build_graph,
+    find_conflicts,
     flagged_subgraph,
     new_state,
     validate_proper,
@@ -15,7 +18,7 @@ from edgecolor import (
 from edgecolor.generators import complete
 from edgecolor.state import BLANK, FLAGGED, NO_EDGE
 
-from helpers import dom_and_flg, random_graph, random_partial_state, rng_for
+from helpers import dom_and_flg, random_graph, random_partial_state, reference_conflicts, rng_for
 
 
 def triangle():
@@ -144,6 +147,34 @@ def test_validate_detects_planted_conflict():
     assert vertex == 0 and color == 1 and {e1, e2} == {0, 1}
 
 
+@hst.composite
+def colored_graphs(draw):
+    """A random simple graph and a per-edge color list with blanks (0), flags
+    (-1), colors above the palette, and a planted clash at one vertex."""
+    n = draw(hst.integers(min_value=2, max_value=12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = draw(hst.lists(hst.sampled_from(possible), unique=True, max_size=len(possible)))
+    q = draw(hst.integers(min_value=1, max_value=5))
+    colors = draw(hst.lists(hst.integers(min_value=-1, max_value=q + 3),
+                            min_size=len(pairs), max_size=len(pairs)))
+    x = draw(hst.integers(min_value=0, max_value=n - 1))
+    c = draw(hst.integers(min_value=1, max_value=q + 3))
+    for e, edge in enumerate(pairs):
+        if x in edge and draw(hst.booleans()):
+            colors[e] = c
+    return n, pairs, colors
+
+
+@given(colored_graphs(), hst.booleans())
+@settings(max_examples=200, deadline=None)
+def test_find_conflicts_matches_per_vertex_scan(data, as_array):
+    n, pairs, colors = data
+    g = build_graph(pairs, n)
+    assert find_conflicts(g, array("i", colors) if as_array else colors) == (
+        reference_conflicts(g, colors)
+    )
+
+
 def test_validate_detects_corrupted_table():
     st = new_state(triangle(), 3)
     st.assign(0, 1)
@@ -151,6 +182,12 @@ def test_validate_detects_corrupted_table():
     report = validate_proper(st)
     assert not report.ok
     assert report.table_errors
+    st.missing[0][1] = 0
+    st.missing[2][3] = 1  # the table claims an edge the slots do not hold
+    st.present[2][3] = 1
+    assert validate_proper(st).table_errors == [
+        "missing[2][3] = 1, but no edge of color 3 is at vertex 2"
+    ]
 
 
 def test_validate_counts():
