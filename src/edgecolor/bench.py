@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .engine import RunConfig, run_full
+from .engine import RunConfig, RunStats, run_full
 from .errors import Exhausted
 from .generators import GenSpec, generate
 from .graph import Graph
@@ -115,8 +115,6 @@ def bench_sweep(
 def _record(model, size, g, cfg, stats, failed, seed) -> BenchRecord:
     m = len(g.edges)
     if stats is None:
-        from .engine import RunStats
-
         stats = RunStats.for_run(g, cfg)
     return BenchRecord(
         instance=f"{model}-m{size}-e{cfg.epsilon}",

@@ -7,7 +7,7 @@ The module exposes two layers over the same logic:
 * the public wrappers validate inputs and wrap results in small value types.
 
 All mutating operations (flip, shift, augment) write through the state's
-missing tables with a local properness check at every write, so a caller
+``missing`` table with a local properness check at every write, so a caller
 contract violation surfaces at the first bad write instead of corrupting
 the coloring silently.
 """
@@ -120,9 +120,11 @@ class ChainFailure(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _make_fan_core(miss, pres, eu, ev, e, x, colors, first_eta=0):
+def _make_fan_core(miss, eu, ev, e, x, colors, first_eta=0):
     """Grow a fan from blank edge e around pivot x using only ``colors``.
 
+    ``miss`` is the state's edge-id table: color c is missing at vertex z
+    when ``miss[z][c] < 0``, else ``miss[z][c]`` is the edge holding it.
     ``colors`` must be ascending; duplicates are tolerated (only ascending
     minima are taken).  ``first_eta``, when nonzero, is the already-computed
     minimum color missing at the far endpoint of e, so the first frontier
@@ -140,9 +142,9 @@ def _make_fan_core(miss, pres, eu, ev, e, x, colors, first_eta=0):
     leaf_pos = None  # built once the fan is long enough that list scans hurt
     while True:
         if not c:
-            prz = pres[z]
+            mz = miss[z]
             for c in colors:
-                if not prz[c]:
+                if mz[c] < 0:
                     break
             else:
                 return None
@@ -196,7 +198,6 @@ def _flip_core(state, pv, pe, alpha, beta):
         return
     slot = state.slot
     miss = state.missing
-    pres = state.present
     for i in range(ne):
         expect = alpha if not (i & 1) else beta
         eid = pe[i]
@@ -207,8 +208,6 @@ def _flip_core(state, pv, pe, alpha, beta):
         v = pv[i + 1]
         miss[u][expect] = NO_EDGE
         miss[v][expect] = NO_EDGE
-        pres[u][expect] = 0
-        pres[v][expect] = 0
     for i in range(ne):
         new = beta if not (i & 1) else alpha
         eid = pe[i]
@@ -221,8 +220,6 @@ def _flip_core(state, pv, pe, alpha, beta):
         slot[eid] = new
         mu[new] = eid
         mv[new] = eid
-        pres[u][new] = 1
-        pres[v][new] = 1
     tr = state.trace
     if tr is not None:
         tr("flip", (alpha, beta, tuple(pe)))
@@ -233,13 +230,11 @@ def _shift_core(state, pivot, leaves, leaf_eids):
     k = len(leaves)
     slot = state.slot
     miss = state.missing
-    pres = state.present
     if slot[leaf_eids[0]] != BLANK:
         raise ImproperShift(f"fan start edge {leaf_eids[0]} is not blank")
     if k == 1:
         return
     mp = miss[pivot]
-    pp = pres[pivot]
     old = []
     for i in range(1, k):
         eid = leaf_eids[i]
@@ -251,8 +246,6 @@ def _shift_core(state, pivot, leaves, leaf_eids):
         leaf = leaves[i]
         mp[c] = NO_EDGE
         miss[leaf][c] = NO_EDGE
-        pp[c] = 0
-        pres[leaf][c] = 0
     for i in range(k - 1):
         c = old[i]
         eid = leaf_eids[i]
@@ -263,8 +256,6 @@ def _shift_core(state, pivot, leaves, leaf_eids):
         slot[eid] = c
         mp[c] = eid
         my[c] = eid
-        pp[c] = 1
-        pres[leaf][c] = 1
     tr = state.trace
     if tr is not None:
         tr("shift", (pivot, tuple(leaf_eids)))
@@ -333,7 +324,7 @@ def make_fan(state: ColoringState, e: int, x: int, colors) -> FanResult | None:
     if x not in (g.edge_u[e], g.edge_v[e]):
         raise ValueError(f"vertex {x} is not an endpoint of edge {e}")
     _check_color_list(state, colors)
-    out = _make_fan_core(state.missing, state.present, g.edge_u, g.edge_v, e, x, colors)
+    out = _make_fan_core(state.missing, g.edge_u, g.edge_v, e, x, colors)
     if out is None:
         return None
     leaves, leaf_eids, alpha, j = out

@@ -67,8 +67,10 @@ class RunConfig:
     def check(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.kappa_const <= 0 or self.ell_const <= 0 or self.t_const <= 0:
-            raise ValueError("kappa_const, ell_const and t_const must be positive")
+        for name in ("kappa_const", "ell_const", "t_const"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
 
@@ -233,6 +235,10 @@ def sample_palette(pool, kappa: int, rng) -> list[int]:
     return sorted({pool[i] for i in idx})
 
 
+# Rows per pre-drawn round-1 palette block; part of the RNG stream.
+_SAMPLER_ROWS = 2048
+
+
 class _PaletteSampler:
     """Chunked with-replacement draws for round 1, where the pool is all of [1, q1].
 
@@ -243,20 +249,19 @@ class _PaletteSampler:
     harmless, and the rare multi-round bookkeeping deduplicates lazily.
     """
 
-    __slots__ = ("q1", "kappa", "rng", "chunk_rows", "_rows", "_cursor")
+    __slots__ = ("q1", "kappa", "rng", "_rows", "_cursor")
 
-    def __init__(self, q1, kappa, rng, chunk_rows=2048):
+    def __init__(self, q1, kappa, rng):
         self.q1 = q1
         self.kappa = kappa
         self.rng = rng
-        self.chunk_rows = chunk_rows
         self._rows = []
         self._cursor = 0
 
     def first(self) -> list[int]:
         if self._cursor == len(self._rows):
             block = self.rng.integers(
-                1, self.q1 + 1, size=(self.chunk_rows, self.kappa), dtype=np.int32
+                1, self.q1 + 1, size=(_SAMPLER_ROWS, self.kappa), dtype=np.int32
             )
             block.sort(axis=1)
             self._rows = block.tolist()
@@ -295,7 +300,6 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
     g = state.graph
     slot = state.slot
     miss = state.missing
-    pres = state.present
     eu = g.edge_u
     ev = g.edge_v
     C = first_C
@@ -324,26 +328,24 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
         # This is exactly the first iteration of the fan builder followed by
         # a length-one (no-op) shift.
         y = eu[e] + ev[e] - x
-        prz = pres[y]
-        prx = pres[x]
+        my = miss[y]
+        mx = miss[x]
         for c in C:
-            if not prz[c]:
+            if my[c] < 0:
                 break
         else:
             slot[e] = FLAGGED
             state.flagged_count += 1
             return False, t, e, _R_FAN
-        if not prx[c]:
+        if mx[c] < 0:
             path_counts[0] += 1
             slot[e] = c
-            miss[y][c] = e
-            miss[x][c] = e
-            prz[c] = 1
-            prx[c] = 1
+            my[c] = e
+            mx[c] = e
             state.colored_count += 1
             return True, t, -1, -1
 
-        fan = _make_fan_core(miss, pres, eu, ev, e, x, C, first_eta=c)
+        fan = _make_fan_core(miss, eu, ev, e, x, C, first_eta=c)
         if fan is None:
             slot[e] = FLAGGED
             state.flagged_count += 1
@@ -363,7 +365,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
 
         beta = 0
         for c in C:
-            if not prx[c]:
+            if mx[c] < 0:
                 beta = c
                 break
         if beta == 0:
@@ -465,7 +467,6 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
         )
     state = ColoringState(g, max(1, num_colors))
     miss = state.missing
-    pres = state.present
     slot = state.slot
     eu = g.edge_u
     ev = g.edge_v
@@ -475,8 +476,8 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
     for e in range(len(g.edges)):
         u = eu[e]
         v = ev[e]
-        pu = pres[u]
-        pv = pres[v]
+        mu = miss[u]
+        mv = miss[v]
         while True:
             if cursor == len(buf):
                 buf = rng.integers(1, num_colors + 1, size=1024).tolist()
@@ -484,12 +485,10 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
             c = buf[cursor]
             cursor += 1
             draws += 1
-            if not pu[c] and not pv[c]:
+            if mu[c] < 0 and mv[c] < 0:
                 slot[e] = c
-                miss[u][c] = e
-                miss[v][c] = e
-                pu[c] = 1
-                pv[c] = 1
+                mu[c] = e
+                mv[c] = e
                 state.colored_count += 1
                 break
     if stats is not None:

@@ -8,9 +8,10 @@ An edge slot is one of:
 
 Per vertex x and color c, ``missing[x][c]`` holds the id of the unique
 incident edge colored c, or -1 when no such edge exists (i.e. c is missing
-at x).  All single-edge mutations are O(1); ``find_conflicts`` is the
-independent properness check, and ``validate_proper`` takes its verdict
-from it, never from these tables.
+at x).  This one table answers both per-vertex questions the colorer asks,
+"is c missing at x" and "which edge holds c at x".  All single-edge
+mutations are O(1); ``find_conflicts`` is the independent properness check,
+and ``validate_proper`` takes its verdict from it, never from this table.
 
 A ColoringState has a single writer; distinct states may be driven from
 different threads concurrently.
@@ -32,8 +33,8 @@ NO_EDGE = -1
 
 
 class ColoringState:
-    __slots__ = ("graph", "q", "slot", "missing", "present", "colored_count",
-                 "flagged_count", "trace")
+    __slots__ = ("graph", "q", "slot", "missing", "colored_count", "flagged_count",
+                 "trace")
 
     def __init__(self, graph: Graph, q: int):
         """Fresh all-blank state over ``graph`` with palette {1, ..., q}."""
@@ -44,14 +45,11 @@ class ColoringState:
         # Machine-typed storage keeps values inline (no per-entry objects),
         # so lookups stay cheap even at benchmark sizes.  `slot` maps edge id
         # to BLANK, FLAGGED, or a color; `missing` maps (vertex, color) to
-        # the incident edge id of that color, or -1.
+        # the incident edge id of that color, or -1, and is the only
+        # per-vertex table: probe loops test `row[c] < 0` directly.
         self.slot = array("i", [BLANK]) * len(graph.edges)
         blank_row = array("i", [NO_EDGE]) * (q + 1)
         self.missing = [blank_row[:] for _ in range(graph.n)]
-        # Compact mirror of `missing` (1 where a color is present at the
-        # vertex): probe loops scan these cache-resident rows, while the
-        # edge-id table above answers the follow-up "which edge" lookups.
-        self.present = [bytearray(q + 1) for _ in range(graph.n)]
         self.colored_count = 0
         self.flagged_count = 0
         # Optional event sink: callable(op: str, payload: tuple) or None.
@@ -91,7 +89,7 @@ class ColoringState:
     # -- O(1) mutations ------------------------------------------------
 
     def assign(self, e: int, color: int) -> None:
-        """Color blank edge e with ``color``; both endpoint tables updated."""
+        """Color blank edge e with ``color``; both endpoint rows updated."""
         if self.slot[e] != BLANK:
             raise AlreadyColored(f"edge {e} is not blank (slot={self.slot[e]})")
         if not 1 <= color <= self.q:
@@ -106,8 +104,6 @@ class ColoringState:
         self.slot[e] = color
         mu[color] = e
         mv[color] = e
-        self.present[u][color] = 1
-        self.present[v][color] = 1
         self.colored_count += 1
 
     def unassign(self, e: int) -> int:
@@ -121,8 +117,6 @@ class ColoringState:
         self.slot[e] = BLANK
         self.missing[u][color] = NO_EDGE
         self.missing[v][color] = NO_EDGE
-        self.present[u][color] = 0
-        self.present[v][color] = 0
         self.colored_count -= 1
         return color
 
@@ -209,10 +203,10 @@ def find_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:
 
 
 def validate_proper(state: ColoringState, graph: Graph | None = None) -> ValidationReport:
-    """Full rescan of slots and tables; the package's independent checker.
+    """Full rescan of the slots and the edge-id table; the package's independent checker.
 
-    The properness verdict is ``find_conflicts`` over the slot array, so
-    corrupted missing tables cannot mask a conflict.  The tables are then
+    The properness verdict is ``find_conflicts`` over the slot array, so a
+    corrupted ``missing`` table cannot mask a conflict.  The table is then
     cross-checked against the slots in both directions.
     """
     g = graph if graph is not None else state.graph
@@ -246,11 +240,6 @@ def validate_proper(state: ColoringState, graph: Graph | None = None) -> Validat
             report.table_errors.append(
                 f"missing[{x}][{c}] = {table[x, c]}, but no edge of color {c} is at vertex {x}"
             )
-    present = np.frombuffer(b"".join(state.present), dtype=np.uint8).reshape(g.n, q + 1)
-    for x, c in np.argwhere((present != 0) != (table >= 0)).tolist():
-        report.table_errors.append(
-            f"present[{x}][{c}] = {present[x, c]} disagrees with the edge-id table"
-        )
 
     if report.colored_count != state.colored_count:
         report.table_errors.append(

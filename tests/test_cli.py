@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from edgecolor.cli import cli_main
 
 
@@ -173,6 +175,13 @@ def _graph(tmp_path):
 
 def test_color_epsilon_out_of_range_is_usage_error(tmp_path, capsys):
     _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), "--epsilon", "1.5")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t-const", "inf"), ("--kappa-const", "inf"), ("--ell-const", "inf"), ("--t-const", "nan"),
+])
+def test_color_non_finite_constant_is_usage_error(tmp_path, capsys, flag, value):
+    _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), flag, value)
 
 
 def test_color_negative_max_restarts_is_usage_error(tmp_path, capsys):

@@ -51,8 +51,10 @@ def test_config_validation():
         RunConfig(epsilon=0.0).check()
     with pytest.raises(ValueError):
         RunConfig(epsilon=1.0).check()
-    with pytest.raises(ValueError):
-        RunConfig(epsilon=0.5, kappa_const=0).check()
+    for bad in (0, math.inf, math.nan):
+        for name in ("kappa_const", "ell_const", "t_const"):
+            with pytest.raises(ValueError, match=name):
+                RunConfig(epsilon=0.5, **{name: bad}).check()
     with pytest.raises(ValueError):
         RunConfig(epsilon=0.5, max_restarts=-1).check()
     RunConfig(epsilon=0.5).check()

@@ -1,6 +1,9 @@
-import pytest
+import string
 
-from edgecolor import MalformedInput, RunConfig, find_conflicts, run_full
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from edgecolor import MalformedInput, RunConfig, build_graph, find_conflicts, run_full
 from edgecolor.fileio import (
     format_coloring,
     format_edge_list,
@@ -76,3 +79,68 @@ def test_parse_coloring_reversed_endpoints_ok():
 def test_edge_list_format_uses_labels():
     g, labels = parse_edge_list("alpha beta\nbeta gamma\n")
     assert format_edge_list(g, labels) == "alpha beta\nbeta gamma\n"
+
+
+# Tokens a hand-edited or damaged file might hold: labels, signed and
+# non-ASCII digits, an integer past the str -> int digit limit, and any text.
+_TOKENS = st.one_of(
+    st.sampled_from(["a", "b", "c", "0", "1", "2", "-1", "+3", "1_0", "1e3", "\u0663", "9" * 5000]),
+    st.text(max_size=4),
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "\n", "\r\n", "#", " # ", "\x0b", "\x85", "\u2028"])
+
+
+@st.composite
+def token_texts(draw):
+    parts = draw(st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=30))
+    return "".join(token + sep for token, sep in parts)
+
+
+@given(token_texts())
+@settings(max_examples=200, deadline=None)
+def test_parse_edge_list_raises_only_malformed_input(text):
+    try:
+        parse_edge_list(text)
+    except MalformedInput:
+        pass
+
+
+@st.composite
+def coloring_texts(draw):
+    """Token text whose lines often name an edge of the graph in the test
+    below, so the parser gets past the label checks to the color token."""
+    edge_line = st.tuples(st.sampled_from(["a b", "c b", "a c", "0 1"]), _TOKENS).map(" ".join)
+    return "\n".join(draw(st.lists(st.one_of(edge_line, token_texts()), max_size=6)))
+
+
+@given(coloring_texts())
+@settings(max_examples=150, deadline=None)
+def test_parse_coloring_raises_only_malformed_input(text):
+    g, labels = parse_edge_list("a b\nb c\nc a\n0 1\n")
+    try:
+        parse_coloring(text, g, labels)
+    except MalformedInput:
+        pass
+
+
+_LABEL_CHARS = string.ascii_letters + string.digits + "-_.:!é"
+
+
+@st.composite
+def labelled_colorings(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(possible), unique=True, max_size=len(possible)))
+    labels = draw(st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6),
+                           min_size=n, max_size=n, unique=True))
+    colors = draw(st.lists(st.integers(min_value=-1, max_value=(1 << 63) - 1),
+                           min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(pairs, n), labels, colors
+
+
+@given(labelled_colorings())
+@settings(max_examples=100, deadline=None)
+def test_coloring_text_round_trip(data):
+    g, labels, colors = data
+    back = parse_coloring(format_coloring(g, colors, labels), g, labels)
+    assert back == [max(c, 0) for c in colors]  # blank (0) and flagged (-1) read as 0

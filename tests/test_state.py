@@ -184,7 +184,6 @@ def test_validate_detects_corrupted_table():
     assert report.table_errors
     st.missing[0][1] = 0
     st.missing[2][3] = 1  # the table claims an edge the slots do not hold
-    st.present[2][3] = 1
     assert validate_proper(st).table_errors == [
         "missing[2][3] = 1, but no edge of color 3 is at vertex 2"
     ]
