@@ -113,7 +113,7 @@ def bench_sweep(
 
 
 def _record(model, size, g, cfg, stats, failed, seed) -> BenchRecord:
-    m = len(g.edges)
+    m = g.m
     if stats is None:
         stats = RunStats.for_run(g, cfg)
     return BenchRecord(

@@ -112,7 +112,7 @@ def _cmd_gen(args) -> int:
         from .fileio import format_edge_list
 
         sys.stdout.write(format_edge_list(g))
-    print(f"generated {args.model}: n={g.n} m={len(g.edges)} max_degree={g.max_degree}",
+    print(f"generated {args.model}: n={g.n} m={g.m} max_degree={g.max_degree}",
           file=sys.stderr)
     return 0
 
@@ -154,7 +154,7 @@ def _cmd_color(args) -> int:
             # Timings omitted so equal (graph, config, seed) gives equal bytes.
             fh.write(stats.to_text(include_timings=False))
     print(
-        f"colored m={len(g.edges)} with {stats.max_color_used} colors "
+        f"colored m={g.m} with {stats.max_color_used} colors "
         f"(budget {stats.q_cap}, restarts {stats.restarts_used}, "
         f"fallback {int(stats.fallback_used)}, {stats.total_us} us)",
         file=sys.stderr,
@@ -190,6 +190,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = _number_list(args.sizes, int, "--sizes")
+    if min(sizes) < 1:
+        raise UsageError(f"--sizes must be positive edge counts, got {min(sizes)}")
     epsilons = _number_list(args.epsilons, float, "--epsilons")
     seed = _seed(args)
     for eps in epsilons:

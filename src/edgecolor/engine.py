@@ -158,7 +158,7 @@ class RunStats:
     def for_run(cls, g: Graph, cfg: RunConfig) -> "RunStats":
         stats = cls()
         stats.n = g.n
-        stats.m = len(g.edges)
+        stats.m = g.m
         stats.delta = g.max_degree
         stats.epsilon = cfg.epsilon
         stats.seed = cfg.seed
@@ -434,7 +434,7 @@ def color_one(
     ell = cfg.ell(delta)
     first = rng.integers(1, q1 + 1, size=(1, kappa))
     first.sort(axis=1)
-    path_counts = [0] * (ell + 1)
+    path_counts = [0] * (min(ell, g.m) + 1)  # a path has at most m edges
     colored, iters, fedge, reason = _color_one_raw(
         state, e, x, q1, kappa, ell, cfg.rounds(delta),
         cfg.palette_floor(delta), first.tolist()[0], rng, path_counts, stats,
@@ -473,7 +473,7 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
     draws = 0
     buf: list[int] = []
     cursor = 0
-    for e in range(len(g.edges)):
+    for e in range(g.m):
         u = eu[e]
         v = ev[e]
         mu = miss[u]
@@ -493,7 +493,7 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
                 break
     if stats is not None:
         stats.greedy_colors = num_colors
-        stats.greedy_edges += len(g.edges)
+        stats.greedy_edges += g.m
         stats.greedy_draws += draws
     return state
 
@@ -516,7 +516,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     stats = RunStats.for_run(g, cfg)
-    m = len(g.edges)
+    m = g.m
     delta = g.max_degree
     if m == 0:
         return ColoringState(g, 1), stats
@@ -540,8 +540,8 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     picks = rng.integers(0, np.arange(m, 0, -1)).tolist()
     coins = rng.integers(0, 2, size=m).tolist()
     pool = list(range(m))
-    path_counts = [0] * (ell + 1)
-    iter_counts = [0] * (rounds + 1)
+    path_counts = [0] * (min(ell, m) + 1)  # a path has at most m edges
+    iter_counts = [0] * (min(rounds, q1) + 1)  # each later round drops >= 1 of q1 colors
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     raw = _color_one_raw
     sampler_first = sampler.first

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
+
 from .errors import MalformedInput
 from .graph import Graph, build_graph
 
@@ -24,7 +26,7 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     """Parse edge-list text; returns the graph and the id -> label table."""
     labels: list[str] = []
     index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
+    ends: list[int] = []  # u0, v0, u1, v1, ...: no tuple per edge
 
     def vid(token: str) -> int:
         i = index.get(token)
@@ -37,8 +39,9 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     for lineno, parts in _data_lines(text):
         if len(parts) != 2:
             raise MalformedInput(f"line {lineno}: expected 'u v', got {parts!r}")
-        pairs.append((vid(parts[0]), vid(parts[1])))
-    return build_graph(pairs, len(labels)), labels
+        ends.append(vid(parts[0]))
+        ends.append(vid(parts[1]))
+    return build_graph(np.array(ends, dtype=np.int64).reshape(-1, 2), len(labels)), labels
 
 
 def read_edge_list(path) -> tuple[Graph, list[str]]:
@@ -49,7 +52,7 @@ def read_edge_list(path) -> tuple[Graph, list[str]]:
 def format_edge_list(g: Graph, labels: list[str] | None = None) -> str:
     labels = labels if labels is not None else [str(i) for i in range(g.n)]
     out = io.StringIO()
-    for u, v in g.edges:
+    for u, v in zip(g.edge_u, g.edge_v):
         out.write(f"{labels[u]} {labels[v]}\n")
     return out.getvalue()
 
@@ -63,8 +66,7 @@ def format_coloring(g: Graph, colors, labels: list[str] | None = None) -> str:
     """One `u v c` line per edge in edge-id order; blank/flagged slots emit 0."""
     labels = labels if labels is not None else [str(i) for i in range(g.n)]
     out = io.StringIO()
-    for e, (u, v) in enumerate(g.edges):
-        c = colors[e]
+    for u, v, c in zip(g.edge_u, g.edge_v, colors, strict=True):
         out.write(f"{labels[u]} {labels[v]} {c if c > 0 else 0}\n")
     return out.getvalue()
 
@@ -81,10 +83,9 @@ def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
     appear exactly once.  Returns colors indexed by edge id.
     """
     index = {lab: i for i, lab in enumerate(labels)}
-    edge_id = {}
-    for e, (u, v) in enumerate(g.edges):
-        edge_id[(u, v)] = e
-    colors = [None] * len(g.edges)
+    n = g.n
+    edge_id = {u * n + v: e for e, (u, v) in enumerate(zip(g.edge_u, g.edge_v))}  # u < v
+    colors = [None] * g.m
     for lineno, parts in _data_lines(text):
         if len(parts) != 3:
             raise MalformedInput(f"line {lineno}: expected 'u v c', got {parts!r}")
@@ -94,7 +95,7 @@ def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
         u, v = index[tu], index[tv]
         if u > v:
             u, v = v, u
-        e = edge_id.get((u, v))
+        e = edge_id.get(u * n + v)
         if e is None:
             raise MalformedInput(f"line {lineno}: edge {tu} {tv} is not in the graph")
         if colors[e] is not None:
@@ -110,10 +111,9 @@ def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
         colors[e] = c
     missing = [e for e, c in enumerate(colors) if c is None]
     if missing:
-        u, v = g.edges[missing[0]]
-        raise MalformedInput(
-            f"{len(missing)} graph edges missing from the coloring, first: {labels[u]} {labels[v]}"
-        )
+        e = missing[0]
+        first = f"{labels[g.edge_u[e]]} {labels[g.edge_v[e]]}"
+        raise MalformedInput(f"{len(missing)} graph edges missing from the coloring, first: {first}")
     return colors
 
 

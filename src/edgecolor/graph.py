@@ -10,25 +10,23 @@ from .errors import MalformedInput
 class Graph:
     """A finite, undirected, simple graph.
 
-    Vertices are dense 0-based integers; edge ids are indices into ``edges``.
-    Instances are immutable by convention: nothing in the package mutates a
-    Graph after construction, so one instance may be shared freely across
-    threads and runs.
+    Vertices are dense 0-based integers; edge e joins ``edge_u[e]`` and
+    ``edge_v[e]``.  Instances are immutable by convention: nothing in the
+    package mutates a Graph after construction, so one instance may be
+    shared freely across threads and runs.
 
     Attributes:
         n: vertex count.
-        edges: list of (u, v) pairs with u < v, indexed by edge id.
+        edge_u / edge_v: flat endpoint lists with edge_u[e] < edge_v[e],
+            indexed by edge id; the graph's only per-edge storage.
         degrees: per-vertex degree.
         max_degree: maximum degree over all vertices (0 for edgeless graphs).
-        edge_u / edge_v: flat endpoint arrays, so hot loops can avoid
-            unpacking tuples (edge_u[e], edge_v[e]) == edges[e].
     """
 
-    __slots__ = ("n", "edges", "degrees", "max_degree", "edge_u", "edge_v")
+    __slots__ = ("n", "degrees", "max_degree", "edge_u", "edge_v")
 
     def __init__(self, n, edge_u, edge_v, degrees):
         self.n = n
-        self.edges = list(zip(edge_u, edge_v))
         self.degrees = degrees
         self.max_degree = max(degrees, default=0)
         self.edge_u = edge_u
@@ -36,10 +34,15 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_u)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """(u, v) per edge id, zipped anew on each access: O(m), so never use it per edge."""
+        return list(zip(self.edge_u, self.edge_v))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)}, max_degree={self.max_degree})"
+        return f"Graph(n={self.n}, m={self.m}, max_degree={self.max_degree})"
 
 
 def build_graph(edge_pairs, n) -> Graph:
@@ -75,7 +78,8 @@ def build_graph(edge_pairs, n) -> Graph:
         if loop[i]:
             raise MalformedInput(f"self-loop at vertex {a}")
         raise MalformedInput(f"duplicate edge ({min(a, b)}, {max(a, b)})")
-    ids = list(range(n))  # one shared int object per vertex keeps hot reads compact
-    edge_u = [ids[x] for x in u.tolist()]
-    edge_v = [ids[x] for x in v.tolist()]
+    # Gather from one shared int object per vertex: no int object per endpoint.
+    ids = np.array(range(n), dtype=object)
+    edge_u = ids[u].tolist()
+    edge_v = ids[v].tolist()
     return Graph(n, edge_u, edge_v, np.bincount(arr.ravel(), minlength=n).tolist())

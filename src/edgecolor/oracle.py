@@ -69,7 +69,7 @@ def brute_chromatic_index(g: Graph) -> OracleResult:
     The answer is always max_degree or max_degree + 1, so only those two
     palette sizes are searched.
     """
-    m = len(g.edges)
+    m = g.m
     if m > MAX_ORACLE_EDGES:
         raise TooLarge(f"oracle limited to {MAX_ORACLE_EDGES} edges, got {m}")
     if m == 0:
@@ -92,8 +92,8 @@ def check_extension_exists(state: ColoringState, e: int) -> bool:
     plus e) and the palette size q matter.  Guarded to m <= 16.
     """
     g = state.graph
-    if len(g.edges) > MAX_ORACLE_EDGES:
-        raise TooLarge(f"oracle limited to {MAX_ORACLE_EDGES} edges, got {len(g.edges)}")
+    if g.m > MAX_ORACLE_EDGES:
+        raise TooLarge(f"oracle limited to {MAX_ORACLE_EDGES} edges, got {g.m}")
     targets = [eid for eid, c in enumerate(state.slot) if c > 0]
     if state.slot[e] <= 0:
         targets.append(e)

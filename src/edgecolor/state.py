@@ -47,7 +47,7 @@ class ColoringState:
         # to BLANK, FLAGGED, or a color; `missing` maps (vertex, color) to
         # the incident edge id of that color, or -1, and is the only
         # per-vertex table: probe loops test `row[c] < 0` directly.
-        self.slot = array("i", [BLANK]) * len(graph.edges)
+        self.slot = array("i", [BLANK]) * graph.m
         blank_row = array("i", [NO_EDGE]) * (q + 1)
         self.missing = [blank_row[:] for _ in range(graph.n)]
         self.colored_count = 0
@@ -56,10 +56,6 @@ class ColoringState:
         self.trace = None
 
     # -- basic queries -------------------------------------------------
-
-    def color_of(self, e: int) -> int:
-        """Raw slot value: BLANK, FLAGGED, or a color in [1, q]."""
-        return self.slot[e]
 
     def missing_lookup(self, x: int, color: int) -> int | None:
         """The neighbor joined to x across ``color``, or None when missing. O(1)."""
@@ -135,9 +131,6 @@ class ColoringState:
         self.flagged_count -= 1
 
     # -- derived views ---------------------------------------------------
-
-    def colored_edges(self) -> list[int]:
-        return [e for e, c in enumerate(self.slot) if c > 0]
 
     def flagged_edges(self) -> list[int]:
         return np.flatnonzero(np.asarray(self.slot) == FLAGGED).tolist()
@@ -255,6 +248,6 @@ def validate_proper(state: ColoringState, graph: Graph | None = None) -> Validat
 def flagged_subgraph(state: ColoringState, graph: Graph | None = None) -> tuple[Graph, int]:
     """The subgraph induced by flagged edges, on the same vertex set, plus its max degree."""
     g = graph if graph is not None else state.graph
-    pairs = [g.edges[e] for e in state.flagged_edges()]
-    sub = build_graph(pairs, g.n)
+    ids = state.flagged_edges()
+    sub = build_graph(np.array((g.edge_u, g.edge_v), dtype=np.int64)[:, ids].T, g.n)
     return sub, sub.max_degree

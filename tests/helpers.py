@@ -51,7 +51,7 @@ def random_partial_state(g: Graph, q: int, rng, fill=0.6, flag_frac=0.05) -> Col
     for e in order:
         r = rng.random()
         if r < fill:
-            u, v = g.edges[e]
+            u, v = g.edge_u[e], g.edge_v[e]
             mu = state.missing[u]
             mv = state.missing[v]
             options = [c for c in range(1, q + 1) if mu[c] < 0 and mv[c] < 0]

@@ -214,7 +214,7 @@ def test_criterion_4_color_one_contract():
             if not blanks:
                 break
             e = blanks[int(rng.integers(0, len(blanks)))]
-            x = g.edges[e][int(rng.integers(0, 2))]
+            x = (g.edge_u[e], g.edge_v[e])[int(rng.integers(0, 2))]
             dom0, flg0 = dom_and_flg(st)
             out = color_one(st, e, x, cfg, rng)
             check_color_one_contract(dom0, flg0, e, st, out)
@@ -243,7 +243,7 @@ def test_criterion_5_chain_primitives():
             if not blanks:
                 break
             e = blanks[int(rng.integers(0, len(blanks)))]
-            x = g.edges[e][int(rng.integers(0, 2))]
+            x = (g.edge_u[e], g.edge_v[e])[int(rng.integers(0, 2))]
             kind = int(rng.integers(0, 3))
             if kind == 0 and shifts < 10_500:
                 colors = sorted(set(rng.integers(1, q + 1, size=6).tolist()))

@@ -71,7 +71,7 @@ def test_make_fan_length_bound():
         if not blanks:
             continue
         e = blanks[int(rng.integers(0, len(blanks)))]
-        x = g.edges[e][int(rng.integers(0, 2))]
+        x = (g.edge_u[e], g.edge_v[e])[int(rng.integers(0, 2))]
         colors = sorted(
             set(rng.integers(1, q + 1, size=4).tolist())
         )
@@ -412,7 +412,7 @@ def test_full_palette_chain_always_augments():
         if not blanks:
             continue
         e = blanks[int(rng.integers(0, len(blanks)))]
-        x = g.edges[e][int(rng.integers(0, 2))]
+        x = (g.edge_u[e], g.edge_v[e])[int(rng.integers(0, 2))]
         dom_before, _ = dom_and_flg(st)
         chain = vizing_chain(st, e, x, list(range(1, q + 1)), cap=g.n)
         assert not isinstance(chain, ChainFailure), "full palette must always build a chain"
@@ -453,7 +453,7 @@ def test_fuzzed_flip_shift_augment_stay_proper():
         if not blanks:
             continue
         e = blanks[int(rng.integers(0, len(blanks)))]
-        x = g.edges[e][int(rng.integers(0, 2))]
+        x = (g.edge_u[e], g.edge_v[e])[int(rng.integers(0, 2))]
         colors = sorted(set(rng.integers(1, q + 1, size=6).tolist()))
         kind = int(rng.integers(0, 3))
         if kind == 0:

@@ -184,6 +184,16 @@ def test_color_non_finite_constant_is_usage_error(tmp_path, capsys, flag, value)
     _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), flag, value)
 
 
+@pytest.mark.parametrize("flags", [("--t-const", "1e300"), ("--ell-const", "1e300"),
+                                   ("--t-const", "1e300", "--ell-const", "1e300")])
+def test_color_huge_constants_still_color(tmp_path, capsys, flags):
+    graph = _graph(tmp_path)
+    coloring = str(tmp_path / "c.txt")
+    assert run_cli("color", "--input", graph, "--output", coloring, *flags) == 0
+    assert run_cli("verify", "--input", graph, "--coloring", coloring) == 0
+    assert capsys.readouterr().out.startswith("OK: 6 edges")
+
+
 def test_color_negative_max_restarts_is_usage_error(tmp_path, capsys):
     _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), "--max-restarts", "-1")
 
@@ -215,4 +225,10 @@ def test_bench_zero_delta_is_usage_error(tmp_path, capsys):
 
 def test_bench_negative_trials_is_usage_error(tmp_path, capsys):
     _assert_usage_error(capsys, "bench", "--sizes", "100", "--epsilons", "0.5", "--trials", "-1",
+                        "--out", str(tmp_path / "b.csv"))
+
+
+@pytest.mark.parametrize("sizes", ["0", "-5", "100,0"])
+def test_bench_non_positive_sizes_is_usage_error(tmp_path, capsys, sizes):
+    _assert_usage_error(capsys, "bench", "--sizes", sizes, "--epsilons", "0.5", "--trials", "1",
                         "--out", str(tmp_path / "b.csv"))

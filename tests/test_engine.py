@@ -117,7 +117,7 @@ def test_color_one_blank_graph_first_iteration():
     g = complete(5)
     st = new_state(g, 8)
     cfg = RunConfig(epsilon=0.5)
-    out = color_one(st, 0, g.edges[0][0], cfg, rng_for(4))
+    out = color_one(st, 0, g.edge_u[0], cfg, rng_for(4))
     assert out.colored
     assert out.iterations == 1
     assert validate_proper(st).ok
@@ -189,7 +189,7 @@ def test_color_one_contract_fuzz():
         if not blanks:
             continue
         e = blanks[int(rng.integers(0, len(blanks)))]
-        x = g.edges[e][int(rng.integers(0, 2))]
+        x = (g.edge_u[e], g.edge_v[e])[int(rng.integers(0, 2))]
         dom0, flg0 = dom_and_flg(st)
         out = color_one(st, e, x, cfg, rng)
         check_color_one_contract(dom0, flg0, e, st, out)
@@ -204,7 +204,7 @@ def test_color_one_deterministic():
         g = complete(8)
         st = random_partial_state(g, cfg.total_colors(g.max_degree), rng_for(9), flag_frac=0.0)
         e = blank_edges(st)[0]
-        out = color_one(st, e, g.edges[e][0], cfg, rng_for(10))
+        out = color_one(st, e, g.edge_u[e], cfg, rng_for(10))
         results.append((out, tuple(st.slot)))
     assert results[0] == results[1]
 

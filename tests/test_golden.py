@@ -54,6 +54,15 @@ CASES = {
         (1, False),
         True,
     ),
+    # A small palette sample leaves the pool above the floor after round 1, so
+    # shifted edges are colored in rounds 2 and 3; 433 flagged edges go to stage 2.
+    "multiround-d60": (
+        GenSpec("random_regular", n=200, d=60, seed=1),
+        RunConfig(epsilon=0.9, kappa_const=1.0, ell_const=0.05, seed=1),
+        "15d19439060083178391cbd519cf824bcc618cbbc2e2be17afdeb47550cfa301",
+        (0, False),
+        True,
+    ),
 }
 
 

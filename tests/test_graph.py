@@ -1,8 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgecolor import MalformedInput, build_graph
 from edgecolor.fileio import format_edge_list, parse_edge_list
+from edgecolor.generators import random_regular
 
 
 def test_triangle():
@@ -60,8 +64,24 @@ def test_empty_graph():
 
 def test_flat_endpoint_arrays_match_edges():
     g = build_graph([(2, 5), (0, 1), (3, 4)], 6)
-    for e, (u, v) in enumerate(g.edges):
-        assert (g.edge_u[e], g.edge_v[e]) == (u, v)
+    assert g.edges == list(zip(g.edge_u, g.edge_v)) == [(2, 5), (0, 1), (3, 4)]
+    assert g.m == 3
+
+
+def test_graph_retains_only_the_endpoint_lists():
+    # Two pointer lists are 16 B/edge; the per-vertex degrees and int objects
+    # add ~4.4 B/edge at n=2000, d=20.  A tuple per edge would add 64 more.
+    ref = random_regular(2000, 20, np.random.default_rng(3))
+    pairs = np.array((ref.edge_u, ref.edge_v)).T
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_graph(pairs, ref.n)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert g.m == 20_000
+    assert retained / g.m <= 32, retained / g.m
 
 
 @st.composite

@@ -102,7 +102,7 @@ def test_extension_matches_chain_success():
             continue
         e = blanks[int(rng.integers(0, len(blanks)))]
         assert check_extension_exists(st, e)
-        chain = vizing_chain(st, e, g.edges[e][0], list(range(1, q + 1)), cap=g.n)
+        chain = vizing_chain(st, e, g.edge_u[e], list(range(1, q + 1)), cap=g.n)
         assert not isinstance(chain, ChainFailure)
         augment(st, chain)
         done += 1

@@ -98,7 +98,7 @@ def test_flag_and_flagged_subgraph():
     st.flag(1)
     st.flag(2)
     sub, d = flagged_subgraph(st)
-    assert len(sub.edges) == 3
+    assert sub.edges == [(0, 1), (0, 2), (0, 3)]  # in flagged-id order
     assert d == 3  # star at vertex 0
     assert sub.n == g.n
 
@@ -215,7 +215,7 @@ def test_fuzz_interleaved_ops_stay_proper():
             if rng.random() < 0.15:
                 st.flag(e)
             else:
-                u, v = g.edges[e]
+                u, v = g.edge_u[e], g.edge_v[e]
                 options = [c for c in range(1, q + 1)
                            if st.missing[u][c] < 0 and st.missing[v][c] < 0]
                 if options:
@@ -245,7 +245,7 @@ def test_mutation_ops_scale_linearly():
         t0 = time.perf_counter()
         for e, c in zip(picks, colors):
             if st.slot[e] == BLANK:
-                u, v = g.edges[e]
+                u, v = g.edge_u[e], g.edge_v[e]
                 if st.missing[u][c] < 0 and st.missing[v][c] < 0:
                     st.assign(e, c)
             elif st.slot[e] > 0:
