@@ -23,6 +23,7 @@ from .engine import (
     greedy_color,
     run_full,
     sample_palette,
+    vizing_color,
 )
 from .errors import (
     AlreadyColored,
@@ -70,5 +71,5 @@ __all__ = [
     "color_one", "edge_color", "find_conflicts", "flagged_subgraph",
     "flip_path", "follow_path", "generate", "greedy_color", "make_fan",
     "new_state", "run_full", "sample_palette", "shift_fan", "validate_proper",
-    "vizing_chain",
+    "vizing_chain", "vizing_color",
 ]

@@ -81,7 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--ell-const", type=float, default=2.0)
     p_color.add_argument("--t-const", type=float, default=100.0)
     p_color.add_argument("--max-restarts", type=int, default=3)
-    p_color.add_argument("--no-fallback", action="store_true")
+    p_color.add_argument("--no-fallback", action="store_true",
+                         help="never color with D+1 colors by Vizing chains: always make "
+                              "the stage-1 attempts and exit 1 when all fail")
     p_color.add_argument("--stats", default=None, help="write run counters to this path")
 
     p_verify = sub.add_parser("verify", help="check a coloring file against its graph")
@@ -138,9 +140,13 @@ def _cmd_color(args) -> int:
     for cause in stats.restart_causes:
         print(f"restart: {cause}", file=sys.stderr)
     if stats.fallback_used:
+        if stats.restart_causes:
+            reason = f"all {len(stats.restart_causes)} attempts failed"
+        else:
+            reason = f"eps*D/6 = {cfg.flag_bound(stats.delta):.3f} < 1"
         print(
-            f"fallback: all {stats.restarts_used + 1} attempts failed; greedy coloring "
-            f"with 2*D-1 = {stats.greedy_colors} colors (budget {stats.q_cap})",
+            f"fallback: {reason}; Vizing coloring with D+1 = {stats.delta + 1} colors "
+            f"(budget {stats.q_cap})",
             file=sys.stderr,
         )
     if args.output:

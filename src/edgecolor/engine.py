@@ -54,6 +54,12 @@ class RunConfig:
 
     Defaults keep kappa^2 / ell <= 1/2 so repeated shifting dies off
     geometrically.  All three are clamped to usable minimums on tiny graphs.
+
+    run_full makes up to 1 + max_restarts stage-1 attempts.  With
+    small_delta_fallback set, it colors the graph with max_degree + 1 colors
+    by vizing_color instead when epsilon * max_degree / 6 < 1 (one flag
+    already fails an attempt, so none is made) or when every attempt failed;
+    unset, it runs the attempts and raises Exhausted when all fail.
     """
 
     epsilon: float
@@ -94,6 +100,10 @@ class RunConfig:
     def palette_floor(self, delta: int) -> float:
         """Minimum pool size below which further sampling is pointless."""
         return (1.0 + self.epsilon / 100.0) * delta
+
+    def flag_bound(self, delta: int) -> float:
+        """Largest flagged-subgraph degree stage 2 can absorb: epsilon*delta/6."""
+        return self.epsilon * delta / 6.0
 
 
 class FlagReason(enum.Enum):
@@ -449,15 +459,16 @@ def color_one(
 
 
 # ---------------------------------------------------------------------------
-# Greedy coloring (stage 2 and the small-degree fallback).
+# Greedy coloring (stage 2).
 # ---------------------------------------------------------------------------
 
 
 def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) -> ColoringState:
     """Color every edge by redrawing uniform colors until one fits.
 
-    Requires num_colors >= 2 * max_degree - 1 so a draw always can succeed;
-    each draw then fits with probability at least
+    Stage 2 colors the flagged subgraph with it.  Requires
+    num_colors >= 2 * max_degree - 1 so a draw always can succeed; each draw
+    then fits with probability at least
     (num_colors - 2*max_degree + 2) / num_colors.
     """
     delta = g.max_degree
@@ -499,6 +510,55 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
 
 
 # ---------------------------------------------------------------------------
+# Vizing coloring (the small-degree fallback).
+# ---------------------------------------------------------------------------
+
+
+def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
+    """Color every edge with at most max_degree + 1 colors (Vizing's theorem).
+
+    Edges are visited in a random order.  Each takes the smallest color in
+    [1, max_degree + 1] free at both endpoints; when there is none, the
+    stage-1 routine colors it with a Vizing chain over the full palette and
+    no path cap.  Every vertex then misses some color, so neither a fan nor
+    a pivot can fail and no edge is flagged.  ``stats.path_hist`` counts the
+    first-fit edges with the fast paths at length 0.
+    """
+    m = g.m
+    q = g.max_degree + 1
+    state = ColoringState(g, q)
+    miss = state.missing
+    slot = state.slot
+    eu = g.edge_u
+    ev = g.edge_v
+    if stats is None:
+        stats = RunStats()
+    palette = list(range(1, q + 1))
+    path_counts = [0] * (m + 1)  # a path has at most m edges
+    raw = _color_one_raw
+    chained = 0
+    for e in rng.permutation(m).tolist():
+        u = eu[e]
+        mu = miss[u]
+        mv = miss[ev[e]]
+        for c in palette:
+            if mu[c] < 0 and mv[c] < 0:
+                slot[e] = c
+                mu[c] = e
+                mv[c] = e
+                state.colored_count += 1
+                break
+        else:
+            chained += 1
+            raw(state, e, u, q, q, m + 1, 1, 0, palette, rng, path_counts, stats)
+    path_counts[0] += m - chained
+    stats.path_hist = {length: c for length, c in enumerate(path_counts) if c}
+    _check(state.colored_count == m, "every edge colored")
+    _check(max(slot, default=0) <= q, f"max color <= D + 1 = {q}")
+    return state
+
+
+# ---------------------------------------------------------------------------
 # The two-stage driver.
 # ---------------------------------------------------------------------------
 
@@ -527,7 +587,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     ell = cfg.ell(delta)
     rounds = cfg.rounds(delta)
     floor_q = cfg.palette_floor(delta)
-    bound = cfg.epsilon * delta / 6.0
+    bound = cfg.flag_bound(delta)
 
     state = ColoringState(g, q_cap)
     eu = g.edge_u
@@ -612,21 +672,25 @@ def _stage1_stats(stats, state, t0, path_counts, iter_counts) -> None:
 def _check(ok: bool, contract: str) -> None:
     # Once-per-run output contract; unlike assert, it still runs under python -O.
     if not ok:
-        raise ImproperAugment(f"edge_color contract violated: {contract}")
+        raise ImproperAugment(f"coloring contract violated: {contract}")
 
 
 def run_full(g: Graph, cfg: RunConfig) -> tuple[ColoringState, RunStats]:
-    """edge_color with restarts on failure and an optional greedy fallback.
+    """edge_color with restarts on failure and an optional Vizing fallback.
 
     Attempt i runs with randomness derived from (cfg.seed, i); up to
-    1 + max_restarts attempts are made.  If all fail and
-    small_delta_fallback is set, the whole graph is greedy-colored with
-    2*Delta - 1 colors, so a proper coloring is always returned.  The
-    returned stats list why each failed attempt failed in restart_causes.
+    1 + max_restarts attempts are made.  With small_delta_fallback set, the
+    whole graph is colored by vizing_color with Delta + 1 colors, which fit
+    the budget, when every attempt failed, and at once when
+    epsilon*Delta/6 < 1: there a single flag fails an attempt, so none is
+    made.  The fallback draws from (cfg.seed, attempts made).  The returned
+    stats list why each failed attempt failed in restart_causes, so an empty
+    list with fallback_used means the attempts were skipped.
     """
     cfg.check()
     causes = []
-    for attempt in range(cfg.max_restarts + 1):
+    skip = cfg.small_delta_fallback and g.m and cfg.flag_bound(g.max_degree) < 1
+    for attempt in range(0 if skip else cfg.max_restarts + 1):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, attempt)))
         try:
             state, stats = edge_color(g, cfg, rng)
@@ -637,14 +701,13 @@ def run_full(g: Graph, cfg: RunConfig) -> tuple[ColoringState, RunStats]:
         stats.restart_causes = causes
         return state, stats
     if cfg.small_delta_fallback:
-        delta = g.max_degree
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, cfg.max_restarts + 1)))
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, len(causes))))
         stats = RunStats.for_run(g, cfg)
-        stats.restarts_used = cfg.max_restarts
+        stats.restarts_used = max(0, len(causes) - 1)
         stats.restart_causes = causes
         stats.fallback_used = True
         t0 = time.perf_counter_ns()
-        state = greedy_color(g, max(1, 2 * delta - 1), rng, stats=stats)
+        state = vizing_color(g, rng, stats=stats)
         stats.stage2_us = (time.perf_counter_ns() - t0) // 1000
         stats.max_color_used = state.max_color_used()
         return state, stats

@@ -59,7 +59,7 @@ class ColoringFailed(EdgeColorError):
 
 
 class Exhausted(EdgeColorError):
-    """All restarts failed and the greedy fallback is disabled.
+    """All restarts failed and the Vizing fallback is disabled.
 
     ``causes`` holds one line per failed attempt.
     """

@@ -88,6 +88,7 @@ def test_criterion_1_correctness():
     t0 = time.perf_counter()
     rng = rng_for(20260101)
     fallbacks = 0
+    straight_to_vizing = 0
     edges_total = 0
     for i in range(200):
         g = _fuzz_instance(i, rng)
@@ -99,14 +100,20 @@ def test_criterion_1_correctness():
         assert report.blank_count == 0 and report.flagged_count == 0, f"graph {i} incomplete"
         if stats.fallback_used:
             fallbacks += 1
+            straight_to_vizing += not stats.restart_causes
             assert stats.max_color_used <= max(1, 2 * g.max_degree - 1), f"graph {i}"
-        else:
-            assert stats.max_color_used <= cfg.total_colors(g.max_degree), f"graph {i}"
+        assert stats.max_color_used <= cfg.total_colors(g.max_degree), f"graph {i}"
         edges_total += len(g.edges)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"correctness sweep took {elapsed:.0f}s, budget 120s"
-    _report(1, "correctness", f"200 graphs, {edges_total} edges, "
-                              f"{fallbacks} fallbacks, {elapsed:.1f}s")
+    finished = 200 - fallbacks
+    # Most small fuzz graphs have eps*D/6 < 1 and skip stage 1; enough must
+    # still finish it for the sweep to test the paper's algorithm.
+    assert finished >= 50, f"only {finished} of 200 graphs finished stage 1"
+    _report(1, "correctness", f"200 graphs, {edges_total} edges, {finished} finished stage 1, "
+                              f"{straight_to_vizing} straight to Vizing, "
+                              f"{fallbacks - straight_to_vizing} fell back after attempts, "
+                              f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -149,15 +149,31 @@ def test_restart_causes_and_fallback_on_stderr(tmp_path, capsys):
     assert run_cli("color", "--input", str(graph), "--seed", "1",
                    "--output", str(tmp_path / "c.txt")) == 0
     err = capsys.readouterr().err.splitlines()
-    restarts = [line for line in err if line.startswith("restart: attempt ")]
-    assert len(restarts) == 4
-    assert all("exceeds eps*D/6 = 0.333 after" in line for line in restarts)
-    assert any(line.startswith("fallback: all 4 attempts failed") for line in err)
+    # eps*D/6 < 1: no stage-1 attempt is made, so no attempt can fail.
+    assert not [line for line in err if line.startswith("restart: ")]
+    assert [line for line in err if line.startswith("fallback: ")] == [
+        "fallback: eps*D/6 = 0.333 < 1; Vizing coloring with D+1 = 5 colors (budget 6)"]
     assert run_cli("color", "--input", str(graph), "--seed", "1", "--no-fallback",
                    "--output", str(tmp_path / "c2.txt")) == 1
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("restart: ")]) == 4
+    assert all("exceeds eps*D/6 = 0.333 after" in line for line in err[:4])
     assert err[-1].startswith("FAIL: all 4 attempts failed")
+
+
+def test_fallback_after_failed_attempts_on_stderr(tmp_path, capsys):
+    # eps*D/6 = 1, so the attempt is made; it fails and Vizing colors the graph.
+    graph = tmp_path / "g.txt"
+    run_cli("gen", "--model", "random_regular", "--n", "200", "--d", "12", "--seed", "1",
+            "--out", str(graph))
+    capsys.readouterr()
+    assert run_cli("color", "--input", str(graph), "--seed", "0", "--max-restarts", "0",
+                   "--output", str(tmp_path / "c.txt")) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("restart: attempt 0: ")]) == 1
+    assert [line for line in err if line.startswith("fallback: ")] == [
+        "fallback: all 1 attempts failed; Vizing coloring with D+1 = 13 colors (budget 18)"]
+    assert run_cli("verify", "--input", str(graph), "--coloring", str(tmp_path / "c.txt")) == 0
 
 
 def _assert_usage_error(capsys, *argv):

@@ -15,6 +15,7 @@ from edgecolor import (
     InsufficientColors,
     RunConfig,
     RunStats,
+    brute_chromatic_index,
     build_graph,
     color_one,
     edge_color,
@@ -25,8 +26,9 @@ from edgecolor import (
     run_full,
     sample_palette,
     validate_proper,
+    vizing_color,
 )
-from edgecolor.generators import complete, gnp, random_regular
+from edgecolor.generators import complete, complete_bipartite, gnp, random_regular
 from helpers import (
     blank_edges,
     check_color_one_contract,
@@ -250,6 +252,69 @@ def test_greedy_tracks_draws():
 
 
 # ---------------------------------------------------------------------------
+# vizing_color
+# ---------------------------------------------------------------------------
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(outer + spokes + inner, 10)
+
+
+_VIZING_GRAPHS = {
+    # Class 2: every proper coloring needs Delta + 1 colors.
+    "K5": lambda: complete(5),
+    "K7": lambda: complete(7),
+    "K9": lambda: complete(9),
+    "petersen": petersen,
+    **{f"C{n}": (lambda n=n: cycle(n)) for n in (5, 7, 9)},
+    "K3,4": lambda: complete_bipartite(3, 4),
+    "star": lambda: build_graph([(0, i) for i in range(1, 7)], 7),
+    "edge": lambda: build_graph([(0, 1)], 2),
+    "empty": lambda: build_graph([], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VIZING_GRAPHS))
+def test_vizing_color_within_delta_plus_one(name):
+    g = _VIZING_GRAPHS[name]()
+    for seed in range(5):
+        stats = RunStats()
+        st = vizing_color(g, rng_for(seed), stats)
+        report = validate_proper(st)
+        assert report.ok and report.blank_count == 0 and report.flagged_count == 0
+        used = st.max_color_used()
+        assert used <= g.max_degree + 1
+        if g.m <= 16:
+            assert used >= brute_chromatic_index(g).chromatic_index
+        assert vizing_color(g, rng_for(seed)).slot == st.slot
+        assert stats.greedy_colors == stats.greedy_edges == stats.greedy_draws == 0
+        assert sum(stats.path_hist.values()) == g.m
+
+
+def test_vizing_color_chains_never_flag(monkeypatch):
+    # Dense graphs leave some edges with no free color in [1, D+1]; the
+    # stage-1 routine must color each of them without a flag.
+    outcomes = []
+    real = engine._color_one_raw
+
+    def spy(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(engine, "_color_one_raw", spy)
+    for seed, g in enumerate([gnp(60, 0.3, rng_for(5)), complete(9), complete(12)]):
+        stats = RunStats()
+        st = vizing_color(g, rng_for(seed), stats)
+        assert validate_proper(st).ok and st.max_color_used() <= g.max_degree + 1
+        assert sum(stats.path_hist.values()) == g.m
+    assert outcomes and all(colored for colored, *_ in outcomes)
+    assert any(length > 0 for length in stats.path_hist)
+
+
+# ---------------------------------------------------------------------------
 # edge_color / run_full
 # ---------------------------------------------------------------------------
 
@@ -315,11 +380,13 @@ def test_edge_color_deterministic():
 def test_run_full_cycle_five_fallback_budget():
     g = cycle(5)
     for seed in range(5):
-        st, stats = run_full(g, RunConfig(epsilon=0.9, seed=seed))
+        cfg = RunConfig(epsilon=0.9, seed=seed)
+        st, stats = run_full(g, cfg)
         assert validate_proper(st).ok
         assert all(c > 0 for c in st.slot)
         # q1 = 3 = 2*Delta - 1, so stage success and fallback both fit in 3
         assert stats.max_color_used <= 3
+        assert stats.max_color_used <= cfg.total_colors(g.max_degree)
 
 
 def test_run_full_always_proper_with_fallback():
@@ -332,8 +399,7 @@ def test_run_full_always_proper_with_fallback():
         assert report.ok and report.blank_count == 0 and report.flagged_count == 0
         if stats.fallback_used:
             assert stats.max_color_used <= max(1, 2 * g.max_degree - 1)
-        else:
-            assert stats.max_color_used <= RunConfig(epsilon=eps).total_colors(g.max_degree)
+        assert stats.max_color_used <= RunConfig(epsilon=eps).total_colors(g.max_degree)
 
 
 def test_run_full_exhausted_without_fallback():
@@ -356,12 +422,15 @@ def test_run_full_exhausted_without_fallback():
 
 
 def test_run_full_restart_seed_derivation():
-    g = complete(4)
-    cfg = RunConfig(epsilon=0.2, seed=5, max_restarts=3)
+    # eps*D/6 = 1, so stage-1 attempts are made; with seed 1 the first fails
+    # (the shape of golden case restart-d12).
+    g = random_regular(200, 12, rng_for(1))
+    cfg = RunConfig(epsilon=0.5, seed=1, max_restarts=3)
     st1, stats1 = run_full(g, cfg)
     st2, stats2 = run_full(g, cfg)
     assert st1.slot == st2.slot
     assert stats1.restarts_used == stats2.restarts_used
+    assert stats1.restarts_used >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +518,28 @@ def test_success_reports_stage1_flagged_degree(monkeypatch):
 def test_run_full_keeps_restart_causes():
     g = random_regular(300, 4, rng_for(1))
     _, stats = run_full(g, RunConfig(epsilon=0.5, seed=1))
-    assert stats.fallback_used
-    assert [c.split(":")[0] for c in stats.restart_causes] == [f"attempt {i}" for i in range(4)]
-    assert all("exceeds eps*D/6 = 0.333 after" in c for c in stats.restart_causes)
+    # eps*D/6 = 0.333 < 1: Vizing colors the graph without a stage-1 attempt.
+    assert stats.fallback_used and stats.restarts_used == 0
+    assert stats.restart_causes == []
+    assert stats.max_color_used <= g.max_degree + 1
     with pytest.raises(Exhausted) as info:
         run_full(g, RunConfig(epsilon=0.5, seed=1, small_delta_fallback=False))
-    assert info.value.causes == stats.restart_causes
-    _, ok = run_full(cycle(5), RunConfig(epsilon=0.9, seed=0))
-    assert len(ok.restart_causes) == ok.restarts_used
+    causes = info.value.causes
+    assert [c.split(":")[0] for c in causes] == [f"attempt {i}" for i in range(4)]
+    assert all("exceeds eps*D/6 = 0.333 after" in c for c in causes)
+    g12 = random_regular(200, 12, rng_for(1))
+    _, ok = run_full(g12, RunConfig(epsilon=0.5, seed=1))
+    assert not ok.fallback_used and len(ok.restart_causes) == ok.restarts_used == 1
+    _, fell = run_full(g12, RunConfig(epsilon=0.5, seed=1, max_restarts=0))
+    assert fell.fallback_used and fell.restarts_used == 0
+    assert fell.restart_causes == ok.restart_causes
+    assert fell.max_color_used <= g12.max_degree + 1
+
+
+def test_run_full_empty_graph_makes_no_fallback():
+    for cfg in (RunConfig(epsilon=0.5), RunConfig(epsilon=0.5, small_delta_fallback=False)):
+        st, stats = run_full(build_graph([], 4), cfg)
+        assert list(st.slot) == [] and not stats.fallback_used and stats.restarts_used == 0
 
 
 _CONTRACT_UNDER_O = """

@@ -14,12 +14,20 @@ from edgecolor import GenSpec, RunConfig, generate, run_full, validate_proper
 
 # name: (graph spec, run config, sha256, expected (restarts_used, fallback_used), shifts?)
 CASES = {
-    # eps*D/6 = 0.33: every attempt fails at its first flag, greedy falls back.
+    # eps*D/6 = 0.33 < 1: no stage-1 attempt is made, Vizing colors with D+1.
     "fallback-d4": (
         GenSpec("random_regular", n=300, d=4, seed=1),
         RunConfig(epsilon=0.5, seed=1),
-        "8e121ed922b070fac8e5f0f925b0530ca92c9ab1cf5b3f13c37c05eb9e01adc0",
-        (3, True),
+        "8b50037d28185bfc395ef2e567201ff933962f3139e73bbc817b6392106fe192",
+        (0, True),
+        False,
+    ),
+    # eps*D/6 = 1: the only attempt fails, then Vizing colors with D+1.
+    "fallback-after-attempt-d12": (
+        GenSpec("random_regular", n=200, d=12, seed=1),
+        RunConfig(epsilon=0.5, seed=1, max_restarts=0),
+        "dca8836d10ae5b395c1fe2acd41737668198c82d5d6f7ed0134ae72a0063731f",
+        (0, True),
         False,
     ),
     # eps*D/6 = 1: attempt 0 fails, attempt 1 succeeds.
@@ -79,4 +87,5 @@ def test_golden(name):
     assert report.ok and report.blank_count == 0 and report.flagged_count == 0
     assert (stats.restarts_used, stats.fallback_used) == (restarts, fallback)
     assert (stats.shift_count > 0) == shifts
+    assert stats.max_color_used <= cfg.total_colors(stats.delta)
     assert _digest(state, stats) == expected
