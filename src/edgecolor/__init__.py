@@ -53,7 +53,6 @@ from .state import (
     ValidationReport,
     find_conflicts,
     flagged_subgraph,
-    new_state,
     validate_proper,
 )
 
@@ -70,6 +69,6 @@ __all__ = [
     "brute_chromatic_index", "build_graph", "check_extension_exists",
     "color_one", "edge_color", "find_conflicts", "flagged_subgraph",
     "flip_path", "follow_path", "generate", "greedy_color", "make_fan",
-    "new_state", "run_full", "sample_palette", "shift_fan", "validate_proper",
+    "run_full", "sample_palette", "shift_fan", "validate_proper",
     "vizing_chain", "vizing_color",
 ]

@@ -220,9 +220,6 @@ def _flip_core(state, pv, pe, alpha, beta):
         slot[eid] = new
         mu[new] = eid
         mv[new] = eid
-    tr = state.trace
-    if tr is not None:
-        tr("flip", (alpha, beta, tuple(pe)))
 
 
 def _shift_core(state, pivot, leaves, leaf_eids):
@@ -256,9 +253,6 @@ def _shift_core(state, pivot, leaves, leaf_eids):
         slot[eid] = c
         mp[c] = eid
         my[c] = eid
-    tr = state.trace
-    if tr is not None:
-        tr("shift", (pivot, tuple(leaf_eids)))
 
 
 def _augment_core(state, pivot, leaves, leaf_eids, alpha, beta, j, pv, pe):
@@ -288,9 +282,6 @@ def _augment_core(state, pivot, leaves, leaf_eids, alpha, beta, j, pv, pe):
                 state.assign(leaf_eids[j - 1], alpha)
     except (ImproperFlip, ImproperShift, ImproperAssignment, AlreadyColored) as exc:
         raise ImproperAugment(str(exc)) from exc
-    tr = state.trace
-    if tr is not None:
-        tr("augment", (leaf_eids[0], alpha))
     return leaf_eids[0]
 
 

@@ -13,7 +13,7 @@ import sys
 
 from . import bench as bench_mod
 from .engine import RunConfig, run_full
-from .errors import EdgeColorError, Exhausted
+from .errors import EdgeColorError, Exhausted, InvalidSpec
 from .fileio import read_coloring, read_edge_list, write_coloring, write_edge_list
 from .generators import GenSpec, generate
 from .oracle import brute_chromatic_index
@@ -107,6 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     spec = GenSpec(args.model, n=args.n, p=args.p, d=args.d, a=args.a, b=args.b,
                    dim=args.dim, seed=_seed(args))
+    try:
+        spec.check()
+    except InvalidSpec as exc:
+        raise UsageError(str(exc)) from None
     g = generate(spec)
     if args.out:
         write_edge_list(args.out, g)

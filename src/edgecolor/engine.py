@@ -5,8 +5,10 @@ Vizing chain built from a small random palette; when a chain's path hits the
 length cap, the blank edge is shifted to a random point along the path and the
 attempt continues with a fresh, disjoint palette.  Edges whose attempts fail
 are flagged.  Stage 2 greedy-colors the flagged subgraph with a disjoint block
-of colors.  A run fails (and may be restarted) when the flagged subgraph is
-too dense for the stage-2 budget.
+of colors.  A run fails when the flagged subgraph is too dense for the
+stage-2 budget.  run_full restarts failed runs and, when every attempt
+failed or epsilon*Delta/6 < 1, falls back to vizing_color, which colors the
+whole graph with Delta + 1 colors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -122,56 +124,51 @@ class ColorOneOutcome:
     reason: FlagReason | None = None
 
 
+@dataclass(eq=False)
 class RunStats:
     """Counters and histograms collected during a run.
 
     Totals are consistent by construction: colored_stage1 + flagged_count
     equals m after stage 1, and every flagged edge is colored in stage 2
-    (or the run fails).
+    (or the run fails).  Fields are declared in ``to_text`` order.
     """
 
-    def __init__(self):
-        self.n = 0
-        self.m = 0
-        self.delta = 0
-        self.epsilon = 0.0
-        self.kappa = 0
-        self.ell = 0
-        self.rounds = 0
-        self.q1 = 0
-        self.q_cap = 0
-        self.seed = 0
-        self.stage1_us = 0
-        self.stage2_us = 0
-        self.colored_stage1 = 0
-        self.flagged_count = 0
-        self.flags_fan = 0
-        self.flags_pivot = 0
-        self.flags_maxiter = 0
-        self.palette_floor_hits = 0
-        self.iteration_hist: dict[int, int] = {}
-        self.path_hist: dict[int, int] = {}
-        self.shift_count = 0
-        self.delta_gstar = 0
-        self.gstar_edges = 0
-        self.greedy_colors = 0
-        self.greedy_edges = 0
-        self.greedy_draws = 0
-        self.restarts_used = 0
-        self.fallback_used = False
-        self.max_color_used = 0
-        # One line per failed attempt of run_full; kept out of the text and
-        # CSV forms so stats files do not change with the message wording.
-        self.restart_causes: list[str] = []
+    n: int = 0
+    m: int = 0
+    delta: int = 0
+    epsilon: float = 0.0
+    kappa: int = 0
+    ell: int = 0
+    rounds: int = 0
+    q1: int = 0
+    q_cap: int = 0
+    seed: int = 0
+    colored_stage1: int = 0
+    flagged_count: int = 0
+    flags_fan: int = 0
+    flags_pivot: int = 0
+    flags_maxiter: int = 0
+    palette_floor_hits: int = 0
+    shift_count: int = 0
+    delta_gstar: int = 0
+    gstar_edges: int = 0
+    greedy_colors: int = 0
+    greedy_edges: int = 0
+    greedy_draws: int = 0
+    restarts_used: int = 0
+    fallback_used: bool = False
+    max_color_used: int = 0
+    iteration_hist: dict[int, int] = field(default_factory=dict)
+    path_hist: dict[int, int] = field(default_factory=dict)
+    stage1_us: int = 0
+    stage2_us: int = 0
+    # One line per failed attempt of run_full; kept out of to_text so stats
+    # files do not change with the message wording.
+    restart_causes: list[str] = field(default_factory=list)
 
     @classmethod
     def for_run(cls, g: Graph, cfg: RunConfig) -> "RunStats":
-        stats = cls()
-        stats.n = g.n
-        stats.m = g.m
-        stats.delta = g.max_degree
-        stats.epsilon = cfg.epsilon
-        stats.seed = cfg.seed
+        stats = cls(n=g.n, m=g.m, delta=g.max_degree, epsilon=cfg.epsilon, seed=cfg.seed)
         if g.max_degree >= 1:
             stats.kappa = cfg.kappa(g.max_degree)
             stats.ell = cfg.ell(g.max_degree)
@@ -188,46 +185,17 @@ class RunStats:
     def total_us(self) -> int:
         return self.stage1_us + self.stage2_us
 
-    def _pairs(self, include_timings: bool):
-        def fmt_hist(h: dict[int, int]) -> str:
-            return ",".join(f"{k}:{v}" for k, v in sorted(h.items()))
-
-        pairs = [
-            ("n", self.n),
-            ("m", self.m),
-            ("delta", self.delta),
-            ("epsilon", self.epsilon),
-            ("kappa", self.kappa),
-            ("ell", self.ell),
-            ("rounds", self.rounds),
-            ("q1", self.q1),
-            ("q_cap", self.q_cap),
-            ("seed", self.seed),
-            ("colored_stage1", self.colored_stage1),
-            ("flagged_count", self.flagged_count),
-            ("flags_fan", self.flags_fan),
-            ("flags_pivot", self.flags_pivot),
-            ("flags_maxiter", self.flags_maxiter),
-            ("palette_floor_hits", self.palette_floor_hits),
-            ("shift_count", self.shift_count),
-            ("delta_gstar", self.delta_gstar),
-            ("gstar_edges", self.gstar_edges),
-            ("greedy_colors", self.greedy_colors),
-            ("greedy_edges", self.greedy_edges),
-            ("greedy_draws", self.greedy_draws),
-            ("restarts_used", self.restarts_used),
-            ("fallback_used", int(self.fallback_used)),
-            ("max_color_used", self.max_color_used),
-            ("iteration_hist", fmt_hist(self.iteration_hist)),
-            ("path_hist", fmt_hist(self.path_hist)),
-        ]
-        if include_timings:
-            pairs.extend([("stage1_us", self.stage1_us), ("stage2_us", self.stage2_us)])
-        return pairs
-
     def to_text(self, include_timings: bool = True) -> str:
         """Flat key=value block; timings are optional so output can be byte-reproducible."""
-        return "\n".join(f"{k}={v}" for k, v in self._pairs(include_timings)) + "\n"
+        lines = []
+        for f in fields(self):
+            if f.name == "restart_causes" or (f.name.endswith("_us") and not include_timings):
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = ",".join(f"{k}:{v}" for k, v in sorted(value.items()))
+            lines.append(f"{f.name}={int(value) if isinstance(value, bool) else value}\n")
+        return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -249,52 +217,22 @@ def sample_palette(pool, kappa: int, rng) -> list[int]:
 _SAMPLER_ROWS = 2048
 
 
-class _PaletteSampler:
-    """Chunked with-replacement draws for round 1, where the pool is all of [1, q1].
+def _first_palettes(q1: int, kappa: int, rng):
+    """Round-1 palettes, drawn from [1, q1] in sorted (_SAMPLER_ROWS, kappa) blocks.
 
-    Pre-generating blocks amortizes the RNG call across many color_one calls
-    and the ascending sort happens batchwise in numpy; the stream stays a pure
-    function of (seed, call order).  Rows may contain duplicates: every
-    consumer takes ascending minima over the sample, for which duplicates are
-    harmless, and the rare multi-round bookkeeping deduplicates lazily.
+    Lazy, so the stream stays a pure function of (seed, call order).  Rows
+    may repeat a color: every consumer takes ascending minima over the
+    sample, and the rare multi-round bookkeeping deduplicates.
     """
-
-    __slots__ = ("q1", "kappa", "rng", "_rows", "_cursor")
-
-    def __init__(self, q1, kappa, rng):
-        self.q1 = q1
-        self.kappa = kappa
-        self.rng = rng
-        self._rows = []
-        self._cursor = 0
-
-    def first(self) -> list[int]:
-        if self._cursor == len(self._rows):
-            block = self.rng.integers(
-                1, self.q1 + 1, size=(_SAMPLER_ROWS, self.kappa), dtype=np.int32
-            )
-            block.sort(axis=1)
-            self._rows = block.tolist()
-            self._cursor = 0
-        row = self._rows[self._cursor]
-        self._cursor += 1
-        return row
+    while True:
+        block = rng.integers(1, q1 + 1, size=(_SAMPLER_ROWS, kappa), dtype=np.int32)
+        block.sort(axis=1)
+        yield from block.tolist()
 
 
 # ---------------------------------------------------------------------------
 # Color One.
 # ---------------------------------------------------------------------------
-
-_R_FAN = 0
-_R_PIVOT = 1
-_R_MAX = 2
-
-_REASONS = {
-    _R_FAN: FlagReason.FAN_FAIL,
-    _R_PIVOT: FlagReason.PIVOT_FAIL,
-    _R_MAX: FlagReason.MAX_ITERATIONS,
-}
-
 
 def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, path_counts, stats):
     """Try to color blank edge e, shifting it along capped chains as needed.
@@ -302,10 +240,10 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
     ``first_C`` is the round-1 palette sample (ascending, duplicates allowed);
     later rounds sample their own disjoint palettes.  ``path_counts`` is a
     length histogram indexed by path length.  Returns (colored, iterations,
-    flagged_edge, reason_code).  Exactly one of two postconditions holds: e
-    joined the colored set and nothing was flagged, or one edge (possibly a
-    shifted descendant of e) moved from colored-or-e to flagged and
-    everything else is unchanged.
+    flagged_edge, reason), reason a FlagReason or None when colored.  Exactly
+    one of two postconditions holds: e joined the colored set and nothing was
+    flagged, or one edge (possibly a shifted descendant of e) moved from
+    colored-or-e to flagged and everything else is unchanged.
     """
     g = state.graph
     slot = state.slot
@@ -326,7 +264,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
                 slot[e] = FLAGGED
                 state.flagged_count += 1
                 stats.palette_floor_hits += 1
-                return False, t - 1, e, _R_PIVOT
+                return False, t - 1, e, FlagReason.PIVOT_FAIL
             C = sample_palette(pool, kappa, rng)
             cset = set(C)
             assert cset.isdisjoint(sampled), "palettes within one call must be disjoint"
@@ -346,20 +284,20 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
         else:
             slot[e] = FLAGGED
             state.flagged_count += 1
-            return False, t, e, _R_FAN
+            return False, t, e, FlagReason.FAN_FAIL
         if mx[c] < 0:
             path_counts[0] += 1
             slot[e] = c
             my[c] = e
             mx[c] = e
             state.colored_count += 1
-            return True, t, -1, -1
+            return True, t, -1, None
 
         fan = _make_fan_core(miss, eu, ev, e, x, C, first_eta=c)
         if fan is None:
             slot[e] = FLAGGED
             state.flagged_count += 1
-            return False, t, e, _R_FAN
+            return False, t, e, FlagReason.FAN_FAIL
         leaves, leaf_eids, alpha, j = fan
         k = len(leaves)
 
@@ -371,7 +309,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
                 state.assign(leaf_eids[-1], alpha)
             except (ImproperShift, ImproperAssignment, AlreadyColored) as exc:
                 raise ImproperAugment(str(exc)) from exc
-            return True, t, -1, -1
+            return True, t, -1, None
 
         beta = 0
         for c in C:
@@ -381,7 +319,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
         if beta == 0:
             slot[e] = FLAGGED
             state.flagged_count += 1
-            return False, t, e, _R_PIVOT
+            return False, t, e, FlagReason.PIVOT_FAIL
 
         pv, pe, _trunc = _follow_core(miss, eu, ev, x, alpha, beta, ell)
         s = len(pe)
@@ -390,7 +328,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
 
         if s < ell:
             _augment_core(state, x, leaves, leaf_eids, alpha, beta, j, pv, pe)
-            return True, t, -1, -1
+            return True, t, -1, None
 
         # Path hit the cap: uncolor a uniformly random path edge, augment the
         # initial segment, and continue from the moved blank edge with the
@@ -409,7 +347,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
         x = pv[lp - 1]
     slot[e] = FLAGGED
     state.flagged_count += 1
-    return False, rounds, e, _R_MAX
+    return False, rounds, e, FlagReason.MAX_ITERATIONS
 
 
 def color_one(
@@ -455,7 +393,7 @@ def color_one(
             stats.path_hist[length] = stats.path_hist.get(length, 0) + count
     if colored:
         return ColorOneOutcome(True, iters)
-    return ColorOneOutcome(False, iters, fedge, _REASONS[reason])
+    return ColorOneOutcome(False, iters, fedge, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +532,6 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     ev = g.edge_v
 
     t0 = time.perf_counter_ns()
-    sampler = _PaletteSampler(q1, kappa, rng)
     # Pre-drawn uniform picks: position in the shrinking pool U, and a coin
     # for which endpoint becomes the pivot.
     picks = rng.integers(0, np.arange(m, 0, -1)).tolist()
@@ -604,7 +541,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     iter_counts = [0] * (min(rounds, q1) + 1)  # each later round drops >= 1 of q1 colors
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     raw = _color_one_raw
-    sampler_first = sampler.first
+    next_palette = _first_palettes(q1, kappa, rng).__next__
     for i in range(m):
         pos = picks[i]
         e = pool[pos]
@@ -613,14 +550,14 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
             pool[pos] = last
         x = eu[e] if coins[i] else ev[e]
         colored, iters, fedge, reason = raw(
-            state, e, x, q1, kappa, ell, rounds, floor_q, sampler_first(), rng,
+            state, e, x, q1, kappa, ell, rounds, floor_q, next_palette(), rng,
             path_counts, stats,
         )
         iter_counts[iters] += 1
         if not colored:
-            if reason == _R_FAN:
+            if reason is FlagReason.FAN_FAIL:
                 stats.flags_fan += 1
-            elif reason == _R_PIVOT:
+            elif reason is FlagReason.PIVOT_FAIL:
                 stats.flags_pivot += 1
             else:
                 stats.flags_maxiter += 1

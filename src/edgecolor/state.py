@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlreadyColored, EdgeNotBlank, ImproperAssignment, NotColored
+from .errors import AlreadyColored, ImproperAssignment, NotColored
 from .graph import Graph, build_graph
 
 BLANK = 0
@@ -33,8 +33,7 @@ NO_EDGE = -1
 
 
 class ColoringState:
-    __slots__ = ("graph", "q", "slot", "missing", "colored_count", "flagged_count",
-                 "trace")
+    __slots__ = ("graph", "q", "slot", "missing", "colored_count", "flagged_count")
 
     def __init__(self, graph: Graph, q: int):
         """Fresh all-blank state over ``graph`` with palette {1, ..., q}."""
@@ -52,35 +51,11 @@ class ColoringState:
         self.missing = [blank_row[:] for _ in range(graph.n)]
         self.colored_count = 0
         self.flagged_count = 0
-        # Optional event sink: callable(op: str, payload: tuple) or None.
-        self.trace = None
 
     # -- basic queries -------------------------------------------------
 
-    def missing_lookup(self, x: int, color: int) -> int | None:
-        """The neighbor joined to x across ``color``, or None when missing. O(1)."""
-        if not 1 <= color <= self.q:
-            raise ValueError(f"color {color} outside palette [1, {self.q}]")
-        eid = self.missing[x][color]
-        if eid < 0:
-            return None
-        g = self.graph
-        return g.edge_u[eid] + g.edge_v[eid] - x
-
     def is_missing(self, x: int, color: int) -> bool:
         return self.missing[x][color] < 0
-
-    def is_happy(self, e: int) -> int | None:
-        """Smallest color missing at both endpoints of blank edge e, or None."""
-        if self.slot[e] != BLANK:
-            raise EdgeNotBlank(f"edge {e} is not blank")
-        g = self.graph
-        mu = self.missing[g.edge_u[e]]
-        mv = self.missing[g.edge_v[e]]
-        for c in range(1, self.q + 1):
-            if mu[c] < 0 and mv[c] < 0:
-                return c
-        return None
 
     # -- O(1) mutations ------------------------------------------------
 
@@ -137,11 +112,6 @@ class ColoringState:
 
     def max_color_used(self) -> int:
         return max((c for c in self.slot if c > 0), default=0)
-
-
-def new_state(graph: Graph, q: int) -> ColoringState:
-    """All-blank coloring state (alias for the constructor)."""
-    return ColoringState(graph, q)
 
 
 @dataclass

@@ -35,7 +35,7 @@ def random_graph(rng, max_n=40, min_n=2) -> Graph:
             if (n * d) % 2:
                 n += 1
             g = random_regular(n, d, rng)
-        if g.edges:
+        if g.m:
             return g
     raise AssertionError("failed to generate a non-empty graph")
 
@@ -47,7 +47,7 @@ def random_partial_state(g: Graph, q: int, rng, fill=0.6, flag_frac=0.05) -> Col
     and ``flag_frac`` of the remainder are flagged.
     """
     state = ColoringState(g, q)
-    order = list(rng.permutation(len(g.edges)))
+    order = list(rng.permutation(g.m))
     for e in order:
         r = rng.random()
         if r < fill:

@@ -3,6 +3,7 @@ import pytest
 from edgecolor import (
     AltPath,
     ChainFailure,
+    ColoringState,
     Fan,
     ImproperAugment,
     ImproperFlip,
@@ -12,7 +13,6 @@ from edgecolor import (
     flip_path,
     follow_path,
     make_fan,
-    new_state,
     shift_fan,
     validate_proper,
     vizing_chain,
@@ -29,7 +29,7 @@ from helpers import dom_and_flg, random_graph, random_partial_state, rng_for
 
 def test_make_fan_happy_on_blank_triangle():
     g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     out = make_fan(st, 0, 0, [1])
     assert out is not None
     assert out.fan.pivot == 0
@@ -41,7 +41,7 @@ def test_make_fan_happy_on_blank_triangle():
 def test_make_fan_fails_when_frontier_saturated():
     # y's incident edges use exactly the sampled colors
     g = build_graph([(0, 1), (1, 2), (1, 3)], 4)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     st.assign(1, 1)  # (1,2) <- 1
     st.assign(2, 2)  # (1,3) <- 2
     assert make_fan(st, 0, 0, [1, 2]) is None
@@ -51,7 +51,7 @@ def test_make_fan_two_step_growth():
     # x=0, y=1, z=2, w=3 with (x,z)=1 and (z,w)=2: fan walks y then z,
     # and color 3 is missing at both z and the pivot.
     g = build_graph([(0, 1), (0, 2), (2, 3)], 4)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     st.assign(1, 1)
     st.assign(2, 2)
     out = make_fan(st, 0, 0, [1, 2, 3])
@@ -100,7 +100,7 @@ def test_make_fan_long_fan_revisit():
         helper += 1
     pairs += [(u, v) for u, v, _ in helper_edges]
     g = build_graph(pairs, helper)
-    st = new_state(g, 15)
+    st = ColoringState(g, 15)
     for i in range(1, 14):
         st.assign(i, i)                   # edge (x, y_i) <- i
     for eid, (_, _, c) in enumerate(helper_edges, start=14):
@@ -116,7 +116,7 @@ def test_make_fan_long_fan_revisit():
 
 def test_make_fan_input_validation():
     g = build_graph([(0, 1)], 2)
-    st = new_state(g, 2)
+    st = ColoringState(g, 2)
     with pytest.raises(ValueError):
         make_fan(st, 0, 0, [])
     with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ def _alternating_path_state(edges_count, q=3):
     # path 0-1-2-...-k with colors 1,2,1,2,...
     pairs = [(i, i + 1) for i in range(edges_count)]
     g = build_graph(pairs, edges_count + 1)
-    st = new_state(g, q)
+    st = ColoringState(g, q)
     for e in range(edges_count):
         st.assign(e, 1 if e % 2 == 0 else 2)
     return g, st
@@ -187,7 +187,7 @@ def test_follow_path_requires_beta_missing():
 
 def test_flip_single_edge():
     g = build_graph([(0, 1)], 2)
-    st = new_state(g, 2)
+    st = ColoringState(g, 2)
     st.assign(0, 1)
     p = follow_path(st, 0, 1, 2, cap=5)
     flip_path(st, p)
@@ -197,7 +197,7 @@ def test_flip_single_edge():
 
 def test_flip_trivial_path_is_noop():
     g = build_graph([(0, 1)], 2)
-    st = new_state(g, 2)
+    st = ColoringState(g, 2)
     p = AltPath(1, 2, (0,), (), False)
     flip_path(st, p)
     assert list(st.slot) == [BLANK]
@@ -223,14 +223,14 @@ def test_flip_detects_stale_path():
 
 def test_shift_length_one_fan_is_noop():
     g = build_graph([(0, 1)], 2)
-    st = new_state(g, 2)
+    st = ColoringState(g, 2)
     shift_fan(st, Fan(0, (1,), (0,)))
     assert list(st.slot) == [BLANK]
 
 
 def test_shift_two_leaf_fan():
     g = build_graph([(0, 1), (0, 2)], 3)
-    st = new_state(g, 5)
+    st = ColoringState(g, 5)
     st.assign(1, 5)
     shift_fan(st, Fan(0, (1, 2), (0, 1)))
     assert st.slot[0] == 5
@@ -240,7 +240,7 @@ def test_shift_two_leaf_fan():
 
 def test_shift_four_leaf_fan_rotates():
     g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], 5)
-    st = new_state(g, 8)
+    st = ColoringState(g, 8)
     st.assign(1, 5)
     st.assign(2, 6)
     st.assign(3, 7)
@@ -251,7 +251,7 @@ def test_shift_four_leaf_fan_rotates():
 
 def test_shift_rejects_colored_start():
     g = build_graph([(0, 1), (0, 2)], 3)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     st.assign(0, 1)
     st.assign(1, 2)
     with pytest.raises(ImproperShift):
@@ -265,7 +265,7 @@ def test_shift_rejects_colored_start():
 
 def test_vizing_chain_happy_short_circuit():
     g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     out = vizing_chain(st, 0, 0, [1], cap=10)
     assert not isinstance(out, ChainFailure)
     assert out.path.vertices == (0,)
@@ -275,7 +275,7 @@ def test_vizing_chain_happy_short_circuit():
 
 def test_vizing_chain_fan_failure():
     g = build_graph([(0, 1), (1, 2), (1, 3)], 4)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     st.assign(1, 1)
     st.assign(2, 2)
     assert vizing_chain(st, 0, 0, [1, 2], cap=10) is ChainFailure.FAN
@@ -285,7 +285,7 @@ def test_vizing_chain_pivot_failure():
     # all sampled colors present at the pivot and the fan closes on itself:
     # x=0 with (x,z1)=1, (x,z2)=2, (x,w3)=3; blank edge (x,y).
     g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], 5)
-    st = new_state(g, 4)
+    st = ColoringState(g, 4)
     st.assign(1, 1)
     st.assign(2, 2)
     st.assign(3, 3)
@@ -295,7 +295,7 @@ def test_vizing_chain_pivot_failure():
 
 def test_vizing_chain_two_step_happy_has_trivial_path():
     g = build_graph([(0, 1), (0, 2), (2, 3)], 4)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     st.assign(1, 1)
     st.assign(2, 2)
     out = vizing_chain(st, 0, 0, [1, 2, 3], cap=10)
@@ -311,7 +311,7 @@ def test_vizing_chain_two_step_happy_has_trivial_path():
 
 def test_augment_happy_fan_on_blank_triangle():
     g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     chain = vizing_chain(st, 0, 0, [1], cap=10)
     colored = augment(st, chain)
     assert colored == 0
@@ -323,7 +323,7 @@ def _fig_case_apart():
     # Path ends away from the truncated fan's last leaf: x=0, y0=1, y1=2,
     # v2=3, w=4; (x,y1)=1, (x,w)=3, (y1,v2)=2; blank (x,y0).
     g = build_graph([(0, 1), (0, 2), (0, 4), (2, 3)], 5)
-    st = new_state(g, 4)
+    st = ColoringState(g, 4)
     st.assign(1, 1)
     st.assign(2, 3)
     st.assign(3, 2)
@@ -354,7 +354,7 @@ def _fig_case_collide():
     # Path ends exactly at the truncated fan's last leaf, forcing the full
     # fan to rotate: x=0, y0=1, y1=2, w=3; (x,y1)=1, (x,w)=3, (y1,y0)=2.
     g = build_graph([(0, 1), (0, 2), (0, 3), (2, 1)], 4)
-    st = new_state(g, 4)
+    st = ColoringState(g, 4)
     st.assign(1, 1)
     st.assign(2, 3)
     st.assign(3, 2)
@@ -423,23 +423,6 @@ def test_full_palette_chain_always_augments():
         assert dom_after == dom_before | {e}
         assert not flg_after
         assert validate_proper(st).ok
-
-
-def test_trace_sink_receives_events():
-    g = build_graph([(0, 1), (0, 2), (2, 3)], 4)
-    st = new_state(g, 3)
-    st.assign(1, 1)
-    st.assign(2, 2)
-    events = []
-    st.trace = lambda op, payload: events.append((op, payload))
-    chain = vizing_chain(st, 0, 0, [1, 2, 3], cap=10)
-    augment(st, chain)
-    ops = [op for op, _ in events]
-    assert "augment" in ops
-    assert "shift" in ops or "flip" in ops
-    # tracing off by default: a fresh state emits nothing
-    st2 = new_state(g, 3)
-    assert st2.trace is None
 
 
 def test_fuzzed_flip_shift_augment_stay_proper():

@@ -189,6 +189,18 @@ def _graph(tmp_path):
     return str(graph)
 
 
+@pytest.mark.parametrize("params", [
+    ("gnp", "--n", "-1", "--p", "0.5"),
+    ("gnp", "--n", "5", "--p", "1.5"),
+    ("random_regular", "--n", "5", "--d", "3"),
+    ("hypercube", "--dim", "0"),
+    ("complete_bipartite", "--a", "-1", "--b", "2"),
+])
+def test_gen_bad_parameters_are_usage_errors(tmp_path, capsys, params):
+    _assert_usage_error(capsys, "gen", "--model", *params, "--out", str(tmp_path / "g.txt"))
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_color_epsilon_out_of_range_is_usage_error(tmp_path, capsys):
     _assert_usage_error(capsys, "color", "--input", _graph(tmp_path), "--epsilon", "1.5")
 

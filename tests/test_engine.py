@@ -22,7 +22,6 @@ from edgecolor import (
     engine,
     flagged_subgraph,
     greedy_color,
-    new_state,
     run_full,
     sample_palette,
     validate_proper,
@@ -117,7 +116,7 @@ def test_sample_palette_empty_pool():
 
 def test_color_one_blank_graph_first_iteration():
     g = complete(5)
-    st = new_state(g, 8)
+    st = ColoringState(g, 8)
     cfg = RunConfig(epsilon=0.5)
     out = color_one(st, 0, g.edge_u[0], cfg, rng_for(4))
     assert out.colored
@@ -131,7 +130,7 @@ def test_color_one_forced_fan_failure():
     q1 = 4
     pairs = [(0, 1)] + [(0, 2 + i) for i in range(q1)]
     g = build_graph(pairs, 2 + q1)
-    st = new_state(g, 6)
+    st = ColoringState(g, 6)
     for i in range(q1):
         st.assign(1 + i, 1 + i)
     dom0, flg0 = dom_and_flg(st)
@@ -150,7 +149,7 @@ def _shift_gadget():
     # pool: x=0, y0=1, y1=2, v2=3, w=4, v3=5, v4=6 with
     # (x,y1)=1, (x,w)=3, (y1,v2)=2, (v2,v3)=1, (v3,v4)=2; blank (x,y0).
     g = build_graph([(0, 1), (0, 2), (0, 4), (2, 3), (3, 5), (5, 6)], 7)
-    st = new_state(g, 4)
+    st = ColoringState(g, 4)
     st.assign(1, 1)
     st.assign(2, 3)
     st.assign(3, 2)
@@ -569,12 +568,24 @@ def test_contract_checks_survive_python_O():
 # ---------------------------------------------------------------------------
 
 
-def test_stats_text_and_csv():
+def test_stats_text():
     g = complete(6)
     cfg = RunConfig(epsilon=0.5, seed=1)
     _, stats = edge_color(g, cfg)
-    text = stats.to_text()
-    assert "stage1_us=" in text
-    assert "path_hist=" in text
+    stats.restart_causes.append("attempt 0: planted cause")
     bare = stats.to_text(include_timings=False)
-    assert "stage1_us=" not in bare
+    keys = [line.split("=", 1)[0] for line in bare.splitlines()]
+    assert keys == [
+        "n", "m", "delta", "epsilon", "kappa", "ell", "rounds", "q1", "q_cap", "seed",
+        "colored_stage1", "flagged_count", "flags_fan", "flags_pivot", "flags_maxiter",
+        "palette_floor_hits", "shift_count", "delta_gstar", "gstar_edges",
+        "greedy_colors", "greedy_edges", "greedy_draws", "restarts_used",
+        "fallback_used", "max_color_used", "iteration_hist", "path_hist",
+    ]
+    text = stats.to_text()
+    assert [line.split("=", 1)[0] for line in text.splitlines()] == keys + ["stage1_us", "stage2_us"]
+    assert text.startswith(bare)
+    for out in (bare, text):
+        assert "restart_causes" not in out and "planted cause" not in out
+    assert "fallback_used=0\n" in bare  # bools print as ints
+    assert f"path_hist={','.join(f'{k}:{v}' for k, v in sorted(stats.path_hist.items()))}\n" in bare

@@ -27,9 +27,9 @@ def test_coloring_round_trip():
 
 def test_coloring_zero_for_blank_and_flagged():
     g, labels = parse_edge_list("a b\nb c\n")
-    from edgecolor import new_state
+    from edgecolor import ColoringState
 
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     st.assign(0, 2)
     st.flag(1)
     lines = format_coloring(g, st.slot, labels).strip().splitlines()

@@ -2,6 +2,7 @@ import pytest
 
 from edgecolor import (
     ChainFailure,
+    ColoringState,
     RunConfig,
     TooLarge,
     augment,
@@ -9,7 +10,6 @@ from edgecolor import (
     build_graph,
     check_extension_exists,
     find_conflicts,
-    new_state,
     run_full,
     vizing_chain,
 )
@@ -47,7 +47,7 @@ def test_witness_is_proper_and_tight():
 def test_size_guard():
     with pytest.raises(TooLarge):
         brute_chromatic_index(complete(7))  # 21 edges
-    st = new_state(complete(7), 7)
+    st = ColoringState(complete(7), 7)
     with pytest.raises(TooLarge):
         check_extension_exists(st, 0)
 
@@ -67,20 +67,20 @@ def test_vizing_bound_on_random_tiny_graphs():
 
 
 def test_extension_blank_triangle():
-    st = new_state(cycle(3), 3)
+    st = ColoringState(cycle(3), 3)
     assert check_extension_exists(st, 0)
 
 
 def test_extension_triangle_two_colors():
     # with the other two edges colored, no 2-color completion exists
-    st = new_state(cycle(3), 2)
+    st = ColoringState(cycle(3), 2)
     st.assign(1, 1)
     st.assign(2, 2)
     assert not check_extension_exists(st, 0)
 
 
 def test_extension_path_two_colors():
-    st = new_state(path(3), 2)
+    st = ColoringState(path(3), 2)
     st.assign(1, 1)
     assert check_extension_exists(st, 0)
 

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as hst
 
 from edgecolor import (
     AlreadyColored,
-    EdgeNotBlank,
+    ColoringState,
     ImproperAssignment,
     NotColored,
     build_graph,
     find_conflicts,
     flagged_subgraph,
-    new_state,
     validate_proper,
 )
 from edgecolor.generators import complete
@@ -26,7 +25,7 @@ def triangle():
 
 
 def test_new_state_blank():
-    st = new_state(triangle(), 3)
+    st = ColoringState(triangle(), 3)
     assert list(st.slot) == [BLANK, BLANK, BLANK]
     assert st.colored_count == 0 and st.flagged_count == 0
     for x in range(3):
@@ -34,35 +33,35 @@ def test_new_state_blank():
 
 
 def test_new_state_empty_graph():
-    st = new_state(build_graph([], 4), 5)
+    st = ColoringState(build_graph([], 4), 5)
     assert list(st.slot) == []
 
 
 def test_new_state_k4_missing_rows():
-    st = new_state(complete(4), 4)
+    st = ColoringState(complete(4), 4)
     for x in range(4):
         assert sum(1 for c in range(1, 5) if st.missing[x][c] == NO_EDGE) == 4
 
 
 def test_new_state_rejects_bad_q():
     with pytest.raises(ValueError):
-        new_state(triangle(), 0)
+        ColoringState(triangle(), 0)
 
 
 def test_assign_updates_tables():
     g = triangle()
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     e = 0  # edge (0, 1)
     st.assign(e, 1)
-    assert st.missing_lookup(0, 1) == 1
-    assert st.missing_lookup(1, 1) == 0
-    assert st.missing_lookup(2, 1) is None
+    assert st.missing[0][1] == e
+    assert st.missing[1][1] == e
+    assert st.missing[2][1] == NO_EDGE
     assert st.colored_count == 1
 
 
 def test_assign_rejects_conflict():
     g = triangle()
-    st = new_state(g, 3)
+    st = ColoringState(g, 3)
     st.assign(0, 1)  # (0,1) <- 1
     with pytest.raises(ImproperAssignment):
         st.assign(2, 1)  # (2,0) shares vertex 0
@@ -73,23 +72,23 @@ def test_assign_rejects_conflict():
 
 
 def test_assign_unassign_round_trip():
-    st = new_state(triangle(), 3)
+    st = ColoringState(triangle(), 3)
     st.assign(0, 2)
     assert st.unassign(0) == 2
-    assert st.missing_lookup(0, 2) is None
+    assert st.missing[0][2] == NO_EDGE
     st.assign(0, 2)
     assert st.slot[0] == 2
 
 
 def test_unassign_blank_raises():
-    st = new_state(triangle(), 3)
+    st = ColoringState(triangle(), 3)
     with pytest.raises(NotColored):
         st.unassign(1)
 
 
 def test_flag_and_flagged_subgraph():
     g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2)], 4)
-    st = new_state(g, 4)
+    st = ColoringState(g, 4)
     sub, d = flagged_subgraph(st)
     assert len(sub.edges) == 0 and d == 0
     st.flag(0)
@@ -104,7 +103,7 @@ def test_flag_and_flagged_subgraph():
 
 
 def test_flag_colored_raises():
-    st = new_state(triangle(), 3)
+    st = ColoringState(triangle(), 3)
     st.assign(0, 1)
     with pytest.raises(AlreadyColored):
         st.flag(0)
@@ -113,29 +112,9 @@ def test_flag_colored_raises():
         st.flag(1)
 
 
-def test_is_happy():
-    # path 0-1-2 with edge (1,2) colored 1, q=2: edge (0,1) must take 2
-    g = build_graph([(0, 1), (1, 2)], 3)
-    st = new_state(g, 2)
-    assert st.is_happy(0) == 1  # fresh state: everything missing
-    st.assign(1, 1)
-    assert st.is_happy(0) == 2
-    with pytest.raises(EdgeNotBlank):
-        st.is_happy(1)
-
-
-def test_is_happy_saturated_endpoint():
-    # star with 2 colored edges at the center, q=2: third edge has no color
-    g = build_graph([(0, 1), (0, 2), (0, 3)], 4)
-    st = new_state(g, 2)
-    st.assign(0, 1)
-    st.assign(1, 2)
-    assert st.is_happy(2) is None
-
-
 def test_validate_detects_planted_conflict():
     g = build_graph([(0, 1), (0, 2)], 3)
-    st = new_state(g, 2)
+    st = ColoringState(g, 2)
     st.assign(0, 1)
     st.assign(1, 2)
     # plant a conflict behind the API's back
@@ -176,7 +155,7 @@ def test_find_conflicts_matches_per_vertex_scan(data, as_array):
 
 
 def test_validate_detects_corrupted_table():
-    st = new_state(triangle(), 3)
+    st = ColoringState(triangle(), 3)
     st.assign(0, 1)
     st.missing[0][1] = NO_EDGE  # corrupt one table entry
     report = validate_proper(st)
@@ -190,7 +169,7 @@ def test_validate_detects_corrupted_table():
 
 
 def test_validate_counts():
-    st = new_state(triangle(), 3)
+    st = ColoringState(triangle(), 3)
     st.assign(0, 1)
     st.flag(1)
     report = validate_proper(st)
@@ -206,7 +185,7 @@ def test_fuzz_interleaved_ops_stay_proper():
     rng = rng_for(101)
     g = random_graph(rng, max_n=30)
     q = g.max_degree + 2
-    st = new_state(g, q)
+    st = ColoringState(g, q)
     m = len(g.edges)
     for i in range(100_000):
         e = int(rng.integers(0, m))
@@ -237,7 +216,7 @@ def test_mutation_ops_scale_linearly():
     # O(1) amortized: 4x the operations should cost about 4x the time.
     def run(ops):
         g = complete(40)
-        st = new_state(g, g.max_degree + 2)
+        st = ColoringState(g, g.max_degree + 2)
         rng = rng_for(7)
         m = len(g.edges)
         picks = rng.integers(0, m, size=ops).tolist()
