@@ -7,8 +7,6 @@ uncolored or flagged edge.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import MalformedInput
@@ -44,36 +42,73 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     return build_graph(np.array(ends, dtype=np.int64).reshape(-1, 2), len(labels)), labels
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+
+
 def read_edge_list(path) -> tuple[Graph, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(_read_text(path))
+
+
+# Edges per string that _chunks yields: one %-format call each, so the
+# per-edge work stays in C while the transient list stays small.
+_CHUNK = 1 << 14
+
+
+def _chunks(g: Graph, labels: list[str] | None, colors=None):
+    """The `u v` lines, or with colors the `u v c` lines, of g in edge-id order,
+    _CHUNK edges per string.  Labels default to the vertex ids; colors below
+    1 (blank or flagged slots) print as 0."""
+    m = g.m
+    # Checked before the generator starts, so write_coloring raises before
+    # it opens (and truncates) the file.
+    if colors is not None and len(colors) != m:
+        raise ValueError(f"{len(colors)} colors for {m} edges")
+    line = "%s %s\n" if colors is None else "%s %s %s\n"
+    width = 2 if colors is None else 3
+
+    def chunks():
+        for lo in range(0, m, _CHUNK):
+            hi = min(lo + _CHUNK, m)
+            us, vs = g.edge_u[lo:hi], g.edge_v[lo:hi]
+            flat = [0] * (width * (hi - lo))
+            flat[0::width] = us if labels is None else [labels[u] for u in us]
+            flat[1::width] = vs if labels is None else [labels[v] for v in vs]
+            if colors is not None:
+                flat[2::width] = [c if c > 0 else 0 for c in colors[lo:hi]]
+            yield (line * (hi - lo)) % tuple(flat)
+
+    return chunks()
 
 
 def format_edge_list(g: Graph, labels: list[str] | None = None) -> str:
-    labels = labels if labels is not None else [str(i) for i in range(g.n)]
-    out = io.StringIO()
-    for u, v in zip(g.edge_u, g.edge_v):
-        out.write(f"{labels[u]} {labels[v]}\n")
-    return out.getvalue()
+    return "".join(_chunks(g, labels))
 
 
 def write_edge_list(path, g: Graph, labels: list[str] | None = None) -> None:
+    chunks = _chunks(g, labels)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g, labels))
+        fh.writelines(chunks)
 
 
 def format_coloring(g: Graph, colors, labels: list[str] | None = None) -> str:
-    """One `u v c` line per edge in edge-id order; blank/flagged slots emit 0."""
-    labels = labels if labels is not None else [str(i) for i in range(g.n)]
-    out = io.StringIO()
-    for u, v, c in zip(g.edge_u, g.edge_v, colors, strict=True):
-        out.write(f"{labels[u]} {labels[v]} {c if c > 0 else 0}\n")
-    return out.getvalue()
+    """One `u v c` line per edge in edge-id order; blank/flagged slots emit 0.
+
+    ``colors`` is a sequence indexed by edge id; a length other than g.m
+    raises ValueError."""
+    return "".join(_chunks(g, labels, colors))
 
 
 def write_coloring(path, g: Graph, colors, labels: list[str] | None = None) -> None:
+    chunks = _chunks(g, labels, colors)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_coloring(g, colors, labels))
+        fh.writelines(chunks)
 
 
 def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
@@ -118,5 +153,4 @@ def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
 
 
 def read_coloring(path, g: Graph, labels: list[str]) -> list[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coloring(fh.read(), g, labels)
+    return parse_coloring(_read_text(path), g, labels)

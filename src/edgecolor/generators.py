@@ -97,13 +97,17 @@ def hypercube(dim: int) -> Graph:
     return build_graph(pairs, n)
 
 
-def random_regular(n: int, d: int, rng, max_attempts: int = 50) -> Graph:
+# Fresh shuffles random_regular makes before giving up.
+_MAX_ATTEMPTS = 50
+
+
+def random_regular(n: int, d: int, rng) -> Graph:
     """d-regular graph on n vertices via the pairing model.
 
     Stubs (d copies of each vertex) are shuffled and paired; pairs forming
     loops or repeated edges are rejected and their stubs re-shuffled into the
     next round.  A stuck attempt restarts from scratch; after
-    ``max_attempts`` restarts the generator raises RejectionExhausted.
+    ``_MAX_ATTEMPTS`` restarts the generator raises RejectionExhausted.
     """
     if d < 0 or d >= max(n, 1) or (n * d) % 2:
         raise InvalidSpec(f"random_regular requires 0 <= d < n and n*d even, got n={n} d={d}")
@@ -111,11 +115,11 @@ def random_regular(n: int, d: int, rng, max_attempts: int = 50) -> Graph:
         return build_graph([], n)
 
     base = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         stubs = base.copy()
         rng.shuffle(stubs)
         accepted_u: list[np.ndarray] = []
-        accepted_keys = np.empty(0, dtype=np.int64)
+        accepted_keys = np.empty(0, dtype=np.int64)  # sorted
         stalls = 0
         for _round in range(200):
             u = stubs[0::2]
@@ -130,10 +134,14 @@ def random_regular(n: int, d: int, rng, max_attempts: int = 50) -> Graph:
             first[first_idx] = True
             ok &= first
             if len(accepted_keys):
-                ok &= ~np.isin(keys, accepted_keys)
+                # Later rounds hold few stubs: binary-search them in the
+                # accepted keys instead of re-sorting all of those.
+                at = np.searchsorted(accepted_keys, keys)
+                ok &= accepted_keys[np.minimum(at, len(accepted_keys) - 1)] != keys
             if ok.any():
                 accepted_u.append(np.stack([lo[ok], hi[ok]], axis=1))
-                accepted_keys = np.concatenate([accepted_keys, keys[ok]])
+                new = np.sort(keys[ok])
+                accepted_keys = np.insert(accepted_keys, np.searchsorted(accepted_keys, new), new)
                 stalls = 0
             else:
                 stalls += 1
@@ -146,5 +154,5 @@ def random_regular(n: int, d: int, rng, max_attempts: int = 50) -> Graph:
             stubs = np.concatenate([u[bad], v[bad]])
             rng.shuffle(stubs)
     raise RejectionExhausted(
-        f"could not realize a {d}-regular graph on {n} vertices in {max_attempts} attempts"
+        f"could not realize a {d}-regular graph on {n} vertices in {_MAX_ATTEMPTS} attempts"
     )

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
-from edgecolor import ColoringState, Graph
+from edgecolor import ColoringState, Graph, build_graph
+from edgecolor.errors import RejectionExhausted
 from edgecolor.generators import complete, complete_bipartite, gnp, hypercube, random_regular
 from edgecolor.state import BLANK, FLAGGED
 
@@ -105,3 +108,65 @@ def check_color_one_contract(dom0, flg0, e, state, outcome) -> None:
         assert dom1 == (dom0 | {e}) - {f}
         assert flg1 == flg0 | {f}
         assert f not in flg0
+
+
+def reference_random_regular(n: int, d: int, rng, max_attempts: int = 50):
+    """The pairing model with an ``np.isin`` test against all accepted keys
+    each round: ``random_regular`` must build the same graph from the same
+    rng.  Returns (graph, pairing rounds over all attempts, restarts)."""
+    if d == 0 or n == 0:
+        return build_graph([], n), 0, 0
+    base = np.repeat(np.arange(n, dtype=np.int64), d)
+    rounds = 0
+    for attempt in range(max_attempts):
+        stubs = base.copy()
+        rng.shuffle(stubs)
+        accepted_u: list[np.ndarray] = []
+        accepted_keys = np.empty(0, dtype=np.int64)
+        stalls = 0
+        for _round in range(200):
+            rounds += 1
+            u = stubs[0::2]
+            v = stubs[1::2]
+            lo = np.minimum(u, v)
+            hi = np.maximum(u, v)
+            keys = lo * n + hi
+            ok = lo != hi
+            _, first_idx = np.unique(keys, return_index=True)
+            first = np.zeros(len(keys), dtype=bool)
+            first[first_idx] = True
+            ok &= first
+            if len(accepted_keys):
+                ok &= ~np.isin(keys, accepted_keys)
+            if ok.any():
+                accepted_u.append(np.stack([lo[ok], hi[ok]], axis=1))
+                accepted_keys = np.concatenate([accepted_keys, keys[ok]])
+                stalls = 0
+            else:
+                stalls += 1
+            bad = ~ok
+            if not bad.any():
+                return build_graph(np.concatenate(accepted_u), n), rounds, attempt
+            if stalls >= 5:
+                break
+            stubs = np.concatenate([u[bad], v[bad]])
+            rng.shuffle(stubs)
+    raise RejectionExhausted(f"no {d}-regular graph on {n} vertices in {max_attempts} attempts")
+
+
+def reference_format_edge_list(g: Graph, labels=None) -> str:
+    """One f-string per edge: the ``format_edge_list`` output, byte for byte."""
+    labels = labels if labels is not None else [str(i) for i in range(g.n)]
+    out = io.StringIO()
+    for u, v in zip(g.edge_u, g.edge_v):
+        out.write(f"{labels[u]} {labels[v]}\n")
+    return out.getvalue()
+
+
+def reference_format_coloring(g: Graph, colors, labels=None) -> str:
+    """One f-string per edge: the ``format_coloring`` output, byte for byte."""
+    labels = labels if labels is not None else [str(i) for i in range(g.n)]
+    out = io.StringIO()
+    for u, v, c in zip(g.edge_u, g.edge_v, colors, strict=True):
+        out.write(f"{labels[u]} {labels[v]} {c if c > 0 else 0}\n")
+    return out.getvalue()

@@ -260,3 +260,26 @@ def test_bench_negative_trials_is_usage_error(tmp_path, capsys):
 def test_bench_non_positive_sizes_is_usage_error(tmp_path, capsys, sizes):
     _assert_usage_error(capsys, "bench", "--sizes", sizes, "--epsilons", "0.5", "--trials", "1",
                         "--out", str(tmp_path / "b.csv"))
+
+
+@pytest.mark.parametrize("command, bad_flag", [
+    ("color", "--input"),
+    ("verify", "--input"),
+    ("verify", "--coloring"),
+    ("oracle", "--input"),
+])
+def test_non_utf8_file_is_one_line_failure(tmp_path, capsys, command, bad_flag):
+    graph = _graph(tmp_path)
+    coloring = tmp_path / "c.txt"
+    assert run_cli("color", "--input", graph, "--seed", "1", "--output", str(coloring)) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n\xff 2\n")
+    paths = {"--input": graph, "--coloring": str(coloring), bad_flag: str(bad)}
+    argv = [command, "--input", paths["--input"]]
+    if command == "verify":
+        argv += ["--coloring", paths["--coloring"]]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(bad) in err and "UTF-8" in err

@@ -1,15 +1,23 @@
 import string
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgecolor import MalformedInput, RunConfig, build_graph, find_conflicts, run_full
 from edgecolor.fileio import (
+    _CHUNK,
     format_coloring,
     format_edge_list,
     parse_coloring,
     parse_edge_list,
+    write_coloring,
+    write_edge_list,
 )
+from edgecolor.state import BLANK, FLAGGED
+
+from helpers import reference_format_coloring, reference_format_edge_list, rng_for
 
 
 def make_colored():
@@ -144,3 +152,39 @@ def test_coloring_text_round_trip(data):
     g, labels, colors = data
     back = parse_coloring(format_coloring(g, colors, labels), g, labels)
     assert back == [max(c, 0) for c in colors]  # blank (0) and flagged (-1) read as 0
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@given(seed=st.integers(0, 2**32 - 1), labelled=st.booleans(),
+       stem=st.text(_LABEL_CHARS + "%{}", min_size=1, max_size=3), packed=st.booleans())
+@settings(max_examples=8, deadline=None)
+def test_writers_match_per_edge_reference(tmp_path_factory, m, seed, labelled, stem, packed):
+    rng = rng_for(seed)
+    n = m + 1 + int(rng.integers(0, 3))
+    perm = rng.permutation(n)
+    g = build_graph(np.stack([perm[:m], perm[1:m + 1]], axis=1), n)  # a path: m distinct edges
+    labels = [f"{stem}{i}" for i in rng.permutation(n)] if labelled else None
+    colors = rng.integers(1, 1 << 40, size=m)
+    unset = rng.random(m) < 0.2
+    colors[unset] = rng.choice([BLANK, FLAGGED], size=int(unset.sum()))
+    colors = array("q", colors.tolist()) if packed else colors.tolist()
+
+    text = format_edge_list(g, labels)
+    assert text == reference_format_edge_list(g, labels)
+    coloring = format_coloring(g, colors, labels)
+    assert coloring == reference_format_coloring(g, colors, labels)
+    out = tmp_path_factory.mktemp("writers")
+    write_edge_list(out / "g.txt", g, labels)
+    write_coloring(out / "c.txt", g, colors, labels)
+    assert (out / "g.txt").read_bytes() == text.encode()
+    assert (out / "c.txt").read_bytes() == coloring.encode()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_coloring_writers_reject_wrong_length(tmp_path, extra):
+    g, labels = parse_edge_list("a b\nb c\nc a\n")
+    colors = [1, 2, 3, 4][:g.m + extra]
+    with pytest.raises(ValueError):
+        format_coloring(g, colors, labels)
+    with pytest.raises(ValueError):
+        write_coloring(tmp_path / "c.txt", g, colors, labels)

@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
-from edgecolor import GenSpec, InvalidSpec, generate
+from edgecolor import GenSpec, InvalidSpec, RejectionExhausted, generate
+from edgecolor import generators
 from edgecolor.generators import (
     complete,
     complete_bipartite,
@@ -10,7 +10,7 @@ from edgecolor.generators import (
     random_regular,
 )
 
-from helpers import rng_for
+from helpers import reference_random_regular, rng_for
 
 
 def test_complete_four():
@@ -83,3 +83,30 @@ def test_invalid_specs():
         generate(GenSpec("random_regular", n=4, d=4))  # d >= n
     with pytest.raises(InvalidSpec):
         generate(GenSpec("hypercube", dim=0))
+
+
+# (n, d, seed, pairing rounds, restarts) of the reference on that seed.
+_PAIRING_SHAPES = [
+    (5000, 4, 3, 1, 0),      # every pair accepted in the first round
+    (5000, 4, 4, 3, 0),      # a few repair rounds
+    (500, 200, 2, 12, 0),    # >= 8 rounds in one attempt, 100k stubs
+    (5000, 4, 0, 16, 2),     # stalls and restarts twice
+    (60, 40, 5, 54, 2),      # near-complete: long repair rounds, two restarts
+    (10, 3, 1, 2, 0),        # small
+]
+
+
+@pytest.mark.parametrize("n, d, seed, rounds, restarts", _PAIRING_SHAPES)
+def test_random_regular_matches_isin_reference(n, d, seed, rounds, restarts):
+    ref, ref_rounds, ref_restarts = reference_random_regular(n, d, rng_for(seed))
+    assert (ref_rounds, ref_restarts) == (rounds, restarts)  # the shape covers what it says
+    g = random_regular(n, d, rng_for(seed))
+    assert g.edge_u == ref.edge_u
+    assert g.edge_v == ref.edge_v
+
+
+def test_random_regular_exhausted_message(monkeypatch):
+    monkeypatch.setattr(generators, "_MAX_ATTEMPTS", 2)
+    with pytest.raises(RejectionExhausted, match="could not realize a 4-regular graph on 5000 "
+                                                 "vertices in 2 attempts"):
+        random_regular(5000, 4, rng_for(0))  # restarts twice, see _PAIRING_SHAPES
