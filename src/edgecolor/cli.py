@@ -180,7 +180,7 @@ def _cmd_verify(args) -> int:
         f"{labels[g.edge_u[e2]]}-{labels[g.edge_v[e2]]} share color {c} at vertex {labels[x]}"
         for e1, e2, x, c in find_conflicts(g, colors)
     ]
-    uncolored = sum(1 for c in colors if c == 0)
+    uncolored = colors.count(0)
     if uncolored:
         problems.append(f"incomplete: {uncolored} edges have color 0")
     if problems:

@@ -7,7 +7,7 @@ import io
 import numpy as np
 
 from edgecolor import ColoringState, Graph, build_graph
-from edgecolor.errors import RejectionExhausted
+from edgecolor.errors import MalformedInput, RejectionExhausted
 from edgecolor.generators import complete, complete_bipartite, gnp, hypercube, random_regular
 from edgecolor.state import BLANK, FLAGGED
 
@@ -170,3 +170,71 @@ def reference_format_coloring(g: Graph, colors, labels=None) -> str:
     for u, v, c in zip(g.edge_u, g.edge_v, colors, strict=True):
         out.write(f"{labels[u]} {labels[v]} {c if c > 0 else 0}\n")
     return out.getvalue()
+
+
+def _reference_data_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def reference_parse_edge_list(text: str) -> tuple[Graph, list[str]]:
+    """One Python step per line and per token: ``parse_edge_list``'s results
+    and error messages."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    ends: list[int] = []
+
+    def vid(token: str) -> int:
+        i = index.get(token)
+        if i is None:
+            i = len(labels)
+            index[token] = i
+            labels.append(token)
+        return i
+
+    for lineno, parts in _reference_data_lines(text):
+        if len(parts) != 2:
+            raise MalformedInput(f"line {lineno}: expected 'u v', got {parts!r}")
+        ends.append(vid(parts[0]))
+        ends.append(vid(parts[1]))
+    return build_graph(np.array(ends, dtype=np.int64).reshape(-1, 2), len(labels)), labels
+
+
+def reference_parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
+    """One Python step per line, with an m-entry edge-key dict:
+    ``parse_coloring``'s results and error messages."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = g.n
+    edge_id = {u * n + v: e for e, (u, v) in enumerate(zip(g.edge_u, g.edge_v))}
+    colors = [None] * g.m
+    for lineno, parts in _reference_data_lines(text):
+        if len(parts) != 3:
+            raise MalformedInput(f"line {lineno}: expected 'u v c', got {parts!r}")
+        tu, tv, tc = parts
+        if tu not in index or tv not in index:
+            raise MalformedInput(f"line {lineno}: unknown vertex label")
+        u, v = index[tu], index[tv]
+        if u > v:
+            u, v = v, u
+        e = edge_id.get(u * n + v)
+        if e is None:
+            raise MalformedInput(f"line {lineno}: edge {tu} {tv} is not in the graph")
+        if colors[e] is not None:
+            raise MalformedInput(f"line {lineno}: duplicate entry for edge {tu} {tv}")
+        try:
+            c = int(tc)
+        except ValueError:
+            raise MalformedInput(f"line {lineno}: bad color {tc!r}") from None
+        if c < 0:
+            raise MalformedInput(f"line {lineno}: negative color {c}")
+        if c >= 1 << 63:
+            raise MalformedInput(f"line {lineno}: color {c} does not fit in 64 bits")
+        colors[e] = c
+    missing = [e for e, c in enumerate(colors) if c is None]
+    if missing:
+        e = missing[0]
+        first = f"{labels[g.edge_u[e]]} {labels[g.edge_v[e]]}"
+        raise MalformedInput(f"{len(missing)} graph edges missing from the coloring, first: {first}")
+    return colors

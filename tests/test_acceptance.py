@@ -45,6 +45,8 @@ from helpers import (
     rng_for,
 )
 
+pytestmark = pytest.mark.slow
+
 EPSILONS = (0.1, 0.2, 0.5, 0.9)
 
 

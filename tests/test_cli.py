@@ -1,7 +1,10 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgecolor.cli import cli_main
 
@@ -283,3 +286,36 @@ def test_non_utf8_file_is_one_line_failure(tmp_path, capsys, command, bad_flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(bad) in err and "UTF-8" in err
+
+
+# Every stderr line of color, verify and oracle starts with one of these.
+_STDERR_PREFIXES = ("error:", "conflict:", "incomplete:", "restart:", "fallback:", "colored", "FAIL:")
+
+_FUZZ_LINE = st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"),
+                       st.sampled_from(["", " 1", " 2", " 3", " 0", " -1", " x", " 1 2"]))
+# File bytes: edge-list or coloring lines over four labels (often valid),
+# any text, or any bytes (non-UTF-8 included).
+_FUZZ_FILES = st.one_of(
+    st.lists(_FUZZ_LINE.map("{0[0]} {0[1]}{0[2]}".format), max_size=8).map("\n".join).map(str.encode),
+    st.text(max_size=40).map(str.encode),
+    st.binary(max_size=40),
+)
+
+
+@given(graph=_FUZZ_FILES, coloring=_FUZZ_FILES)
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_codes_on_any_file(tmp_path_factory, graph, coloring):
+    work = tmp_path_factory.mktemp("fuzz")
+    g, c, out = (str(work / name) for name in ("g.txt", "c.txt", "out.txt"))
+    (work / "g.txt").write_bytes(graph)
+    (work / "c.txt").write_bytes(coloring)
+    for argv in (["verify", "--input", g, "--coloring", c],
+                 ["color", "--input", g, "--seed", "1", "--output", out],
+                 ["verify", "--input", g, "--coloring", out],
+                 ["oracle", "--input", g]):
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        assert code in (0, 1), (argv, code)
+        for line in err.getvalue().splitlines():
+            assert line.startswith(_STDERR_PREFIXES), (argv, line)

@@ -1,11 +1,14 @@
 import string
+import tracemalloc
 from array import array
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgecolor import MalformedInput, RunConfig, build_graph, find_conflicts, run_full
+from edgecolor import MalformedInput, RunConfig, build_graph, fileio, find_conflicts, run_full
 from edgecolor.fileio import (
     _CHUNK,
     format_coloring,
@@ -15,9 +18,16 @@ from edgecolor.fileio import (
     write_coloring,
     write_edge_list,
 )
+from edgecolor.generators import random_regular
 from edgecolor.state import BLANK, FLAGGED
 
-from helpers import reference_format_coloring, reference_format_edge_list, rng_for
+from helpers import (
+    reference_format_coloring,
+    reference_format_edge_list,
+    reference_parse_coloring,
+    reference_parse_edge_list,
+    rng_for,
+)
 
 
 def make_colored():
@@ -92,10 +102,12 @@ def test_edge_list_format_uses_labels():
 # Tokens a hand-edited or damaged file might hold: labels, signed and
 # non-ASCII digits, an integer past the str -> int digit limit, and any text.
 _TOKENS = st.one_of(
-    st.sampled_from(["a", "b", "c", "0", "1", "2", "-1", "+3", "1_0", "1e3", "\u0663", "9" * 5000]),
+    st.sampled_from(["a", "b", "c", "0", "1", "2", "-1", "+3", "1_0", "1e3", "\u0663", "9" * 5000,
+                     "a#b"]),
     st.text(max_size=4),
 )
-_SEPARATORS = st.sampled_from([" ", "\t", "\n", "\r\n", "#", " # ", "\x0b", "\x85", "\u2028"])
+_SEPARATORS = st.sampled_from([" ", "\t", "\n", "\r\n", "\r", "#", " # ", "\x0b", "\x1c", "\x1f",
+                               "\x85", "\xa0", "\u2028", "\u2029"])
 
 
 @st.composite
@@ -188,3 +200,178 @@ def test_coloring_writers_reject_wrong_length(tmp_path, extra):
         format_coloring(g, colors, labels)
     with pytest.raises(ValueError):
         write_coloring(tmp_path / "c.txt", g, colors, labels)
+
+
+# The chunked parsers against the line-by-line references (tests/helpers.py):
+# equal results, or MalformedInput with an equal message.
+
+def _outcome(parse, *args):
+    try:
+        result = parse(*args)
+    except MalformedInput as exc:
+        return f"MalformedInput: {exc}"
+    if isinstance(result, tuple):
+        g, labels = result
+        return g.n, g.edge_u, g.edge_v, g.degrees, labels
+    return result
+
+
+def assert_edge_list_matches_reference(text):
+    assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
+
+
+def assert_coloring_matches_reference(text, g, labels):
+    assert _outcome(parse_coloring, text, g, labels) == \
+        _outcome(reference_parse_coloring, text, g, labels)
+
+
+@contextmanager
+def split_chars(chars):
+    """Run with fileio._SPLIT_CHARS set to ``chars``, so small texts span
+    several chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_SPLIT_CHARS", chars)
+        yield
+
+
+_LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                "\u2028", "\u2029"])
+_IN_LINE = st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0", "\u3000"])
+_LABEL_TOKENS = st.sampled_from(["a", "b", "c", "d", "0", "1", "é", "a#b"])
+
+
+@st.composite
+def lined_texts(draw, width):
+    """Lines of mostly ``width`` label tokens, joined by every kind of line
+    break and in-line space, some blank or commented: text that often
+    parses, where token_texts seldom does."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.sampled_from([width, width, width, 0, 1, width + 1]))
+        line = draw(_IN_LINE).join(draw(_LABEL_TOKENS) for _ in range(k))
+        if draw(st.booleans()):
+            line = draw(_IN_LINE) + line + draw(_IN_LINE)
+        if draw(st.integers(0, 4)) == 0:
+            line += draw(st.sampled_from(["#", "# note", " #a b c", "#\x1f"]))
+        out.append(line + draw(_LINE_BREAKS))
+    return "".join(out)
+
+
+@given(st.one_of(token_texts(), lined_texts(2)), st.sampled_from([1, 5, fileio._SPLIT_CHARS]))
+@settings(max_examples=400, deadline=None)
+def test_parse_edge_list_matches_reference(text, chars):
+    with split_chars(chars):
+        assert_edge_list_matches_reference(text)
+
+
+_TRIANGLE_PLUS = "a b\nb c\nc a\n0 1\n"  # edge order: a b, b c, a c, 0 1
+
+
+@given(st.one_of(coloring_texts(), lined_texts(3)), st.sampled_from([1, 5, fileio._SPLIT_CHARS]))
+@settings(max_examples=300, deadline=None)
+def test_parse_coloring_matches_reference_on_any_text(text, chars):
+    g, labels = parse_edge_list(_TRIANGLE_PLUS)
+    with split_chars(chars):
+        assert_coloring_matches_reference(text, g, labels)
+
+
+# One change each to a format_coloring text; "color <token>" replaces a color.
+COLORING_EDITS = ["swapped endpoints", "two lines reordered", "duplicated line", "dropped line",
+                  "color -1", "color x", "color +3", f"color {1 << 63}", "comment line"]
+
+
+def edit_lines(edit, lines, i):
+    """A copy of the coloring lines with the given change at line i."""
+    lines = list(lines)
+    u, v, c = lines[i].split()
+    if edit == "swapped endpoints":
+        lines[i] = f"{v} {u} {c}"
+    elif edit == "two lines reordered":
+        lines[i:i + 2] = lines[i:i + 2][::-1]
+    elif edit == "duplicated line":
+        lines.insert(i, lines[i])
+    elif edit == "dropped line":
+        del lines[i]
+    elif edit == "comment line":
+        lines.insert(i, "# written by hand")
+    else:
+        lines[i] = f"{u} {v} {edit.split()[1]}"
+    return lines
+
+
+@pytest.mark.parametrize("edit", COLORING_EDITS)
+@given(data=labelled_colorings(), where=st.integers(0, 100), chars=st.sampled_from([1, 20]),
+       eol=_LINE_BREAKS)
+@settings(max_examples=25, deadline=None)
+def test_edited_coloring_matches_reference(edit, data, where, chars, eol):
+    g, labels, colors = data
+    lines = format_coloring(g, colors, labels).splitlines()
+    if lines:
+        lines = edit_lines(edit, lines, where % len(lines))
+    with split_chars(chars):
+        assert_coloring_matches_reference(eol.join(lines) + eol, g, labels)
+
+
+@lru_cache(maxsize=None)
+def long_path():
+    """A labelled path whose edge-list and coloring texts span several chunks."""
+    m = 3 * fileio._SPLIT_CHARS // 10
+    rng = rng_for(7)
+    perm = rng.permutation(m + 1)
+    g = build_graph(np.stack([perm[:m], perm[1:]], axis=1), m + 1)
+    labels = [f"v{i}" for i in rng.permutation(m + 1)]
+    colors = rng.integers(1, 1000, size=m).tolist()
+    return g, labels, format_edge_list(g, labels), format_coloring(g, colors, labels), colors
+
+
+@pytest.mark.parametrize("breaks", ["\n", "\x0b\u2028"])
+def test_long_texts_match_reference(breaks):
+    # "\n" lets the text be cut into chunks; with only \x0b and \u2028 no cut exists.
+    g, labels, edge_text, coloring_text, colors = long_path()
+    assert len(edge_text) > 2 * fileio._SPLIT_CHARS
+
+    def rebreak(text):
+        lines = text.splitlines()
+        return "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+
+    assert_edge_list_matches_reference(rebreak(edge_text))
+    assert parse_edge_list(rebreak(edge_text))[0].m == g.m
+    assert parse_coloring(rebreak(coloring_text), g, labels) == colors
+
+
+@pytest.mark.parametrize("edit", COLORING_EDITS)
+def test_edited_long_coloring_matches_reference(edit):
+    g, labels, _, coloring_text, _ = long_path()
+    lines = edit_lines(edit, coloring_text.splitlines(), g.m - 5)  # in the last chunk
+    assert_coloring_matches_reference("\n".join(lines) + "\n", g, labels)
+
+
+def test_coloring_with_repeated_labels_matches_reference():
+    # With a repeated label a token names the last vertex that has it, so
+    # even a file in edge order must take the line loop.
+    g = build_graph([(0, 1), (1, 2)], 3)
+    labels = ["x", "x", "y"]
+    for text in (format_coloring(g, [1, 2], labels), "x y 2\n"):
+        assert_coloring_matches_reference(text, g, labels)
+
+
+def _traced_peak(f, *args) -> int:
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parsers_peak_memory():
+    # m = 50k.  A file in edge order is read with no m-entry edge dict: ~15
+    # B/edge here, against ~200 for the line loop.  parse_edge_list peaks no
+    # higher than the line-by-line reference (113 against 131 B/edge here).
+    rng = rng_for(3)
+    text = format_edge_list(random_regular(12500, 8, rng))
+    g, labels = parse_edge_list(text)
+    coloring = format_coloring(g, rng.integers(1, 10, size=g.m).tolist(), labels)
+    assert g.m == 50_000
+    assert _traced_peak(parse_coloring, coloring, g, labels) < 50 * g.m
+    assert _traced_peak(parse_edge_list, text) <= 1.05 * _traced_peak(reference_parse_edge_list, text)
