@@ -31,7 +31,6 @@ from .errors import (
     EdgeColorError,
     EdgeNotBlank,
     EmptyPool,
-    Exhausted,
     ImproperAssignment,
     ImproperAugment,
     ImproperFlip,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AltPath", "AlreadyColored", "BLANK", "ChainFailure", "ColorOneOutcome",
     "ColoringFailed", "ColoringState", "EdgeColorError", "EdgeNotBlank",
-    "EmptyPool", "Exhausted", "FLAGGED", "Fan", "FanResult", "FlagReason",
+    "EmptyPool", "FLAGGED", "Fan", "FanResult", "FlagReason",
     "GenSpec", "Graph", "ImproperAssignment", "ImproperAugment", "ImproperFlip",
     "ImproperShift", "InsufficientColors", "InvalidSpec", "MalformedInput",
     "NotColored", "OracleResult", "RejectionExhausted", "RunConfig", "RunStats",

@@ -1,8 +1,11 @@
 """Command-line surface: gen, color, verify, oracle, bench.
 
-Exit codes: 0 success, 1 failure or violation, 2 usage error (one line on
-stderr, no traceback).  The EDGECOLOR_SEED environment variable overrides the
-default seed; explicit --seed flags win over both.
+Exit codes: 0 success, 1 a bad input file or an improper coloring (verify),
+2 usage error (one line on stderr, no traceback).  color always writes a
+coloring within the budget; fallback_used and restarts_used in --stats, and
+its restart: and fallback: lines on stderr, say how it got there.  The
+EDGECOLOR_SEED environment variable overrides the default seed; explicit
+--seed flags win over both.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 
 from . import bench as bench_mod
 from .engine import RunConfig, run_full
-from .errors import EdgeColorError, Exhausted, InvalidSpec
+from .errors import EdgeColorError, InvalidSpec
 from .fileio import read_coloring, read_edge_list, write_coloring, write_edge_list
 from .generators import GenSpec, generate
 from .oracle import brute_chromatic_index
@@ -81,9 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--ell-const", type=float, default=2.0)
     p_color.add_argument("--t-const", type=float, default=100.0)
     p_color.add_argument("--max-restarts", type=int, default=3)
-    p_color.add_argument("--no-fallback", action="store_true",
-                         help="never color with D+1 colors by Vizing chains: always make "
-                              "the stage-1 attempts and exit 1 when all fail")
     p_color.add_argument("--stats", default=None, help="write run counters to this path")
 
     p_verify = sub.add_parser("verify", help="check a coloring file against its graph")
@@ -131,16 +131,9 @@ def _cmd_color(args) -> int:
         t_const=args.t_const,
         seed=_seed(args),
         max_restarts=args.max_restarts,
-        small_delta_fallback=not args.no_fallback,
     ))
     g, labels = read_edge_list(args.input)
-    try:
-        state, stats = run_full(g, cfg)
-    except Exhausted as exc:
-        for cause in exc.causes:
-            print(f"restart: {cause}", file=sys.stderr)
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+    state, stats = run_full(g, cfg)
     for cause in stats.restart_causes:
         print(f"restart: {cause}", file=sys.stderr)
     if stats.fallback_used:

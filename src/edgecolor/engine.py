@@ -25,7 +25,6 @@ from .errors import (
     AlreadyColored,
     ColoringFailed,
     EmptyPool,
-    Exhausted,
     ImproperAssignment,
     ImproperAugment,
     ImproperFlip,
@@ -57,11 +56,10 @@ class RunConfig:
     Defaults keep kappa^2 / ell <= 1/2 so repeated shifting dies off
     geometrically.  All three are clamped to usable minimums on tiny graphs.
 
-    run_full makes up to 1 + max_restarts stage-1 attempts.  With
-    small_delta_fallback set, it colors the graph with max_degree + 1 colors
-    by vizing_color instead when epsilon * max_degree / 6 < 1 (one flag
-    already fails an attempt, so none is made) or when every attempt failed;
-    unset, it runs the attempts and raises Exhausted when all fail.
+    run_full makes up to 1 + max_restarts stage-1 attempts.  It colors the
+    graph with max_degree + 1 colors by vizing_color instead when
+    epsilon * max_degree / 6 < 1 (one flag already fails an attempt, so none
+    is made) or when every attempt failed.
     """
 
     epsilon: float
@@ -70,7 +68,6 @@ class RunConfig:
     t_const: float = 100.0
     seed: int = 0
     max_restarts: int = 3
-    small_delta_fallback: bool = True
 
     def check(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -185,17 +182,22 @@ class RunStats:
     def total_us(self) -> int:
         return self.stage1_us + self.stage2_us
 
-    def to_text(self, include_timings: bool = True) -> str:
-        """Flat key=value block; timings are optional so output can be byte-reproducible."""
-        lines = []
+    def items(self, include_timings: bool = True) -> list[tuple[str, str]]:
+        """(name, text) per field in declaration order, restart_causes left out;
+        dicts print as k:v,... and bools as ints."""
+        pairs = []
         for f in fields(self):
             if f.name == "restart_causes" or (f.name.endswith("_us") and not include_timings):
                 continue
             value = getattr(self, f.name)
             if isinstance(value, dict):
                 value = ",".join(f"{k}:{v}" for k, v in sorted(value.items()))
-            lines.append(f"{f.name}={int(value) if isinstance(value, bool) else value}\n")
-        return "".join(lines)
+            pairs.append((f.name, str(int(value) if isinstance(value, bool) else value)))
+        return pairs
+
+    def to_text(self, include_timings: bool = True) -> str:
+        """Flat key=value block; timings are optional so output can be byte-reproducible."""
+        return "".join(f"{k}={v}\n" for k, v in self.items(include_timings))
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +382,11 @@ def color_one(
         stats = RunStats.for_run(g, cfg)
     kappa = cfg.kappa(delta)
     ell = cfg.ell(delta)
-    first = rng.integers(1, q1 + 1, size=(1, kappa))
-    first.sort(axis=1)
+    first = sample_palette(range(1, q1 + 1), kappa, rng)
     path_counts = [0] * (min(ell, g.m) + 1)  # a path has at most m edges
     colored, iters, fedge, reason = _color_one_raw(
         state, e, x, q1, kappa, ell, cfg.rounds(delta),
-        cfg.palette_floor(delta), first.tolist()[0], rng, path_counts, stats,
+        cfg.palette_floor(delta), first, rng, path_counts, stats,
     )
     stats.iteration_hist[iters] = stats.iteration_hist.get(iters, 0) + 1
     for length, count in enumerate(path_counts):
@@ -573,7 +574,6 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
                     f"flagged subgraph degree {worst} exceeds eps*D/6 = {bound:.3f} "
                     f"after {i + 1} of {m} edges",
                     stats=stats,
-                    gstar_degree=worst,
                 )
     _stage1_stats(stats, state, t0, path_counts, iter_counts)
     _check(state.colored_count + state.flagged_count == m, "colored + flagged == m")
@@ -613,20 +613,20 @@ def _check(ok: bool, contract: str) -> None:
 
 
 def run_full(g: Graph, cfg: RunConfig) -> tuple[ColoringState, RunStats]:
-    """edge_color with restarts on failure and an optional Vizing fallback.
+    """edge_color with restarts on failure and a Vizing fallback.
 
     Attempt i runs with randomness derived from (cfg.seed, i); up to
-    1 + max_restarts attempts are made.  With small_delta_fallback set, the
-    whole graph is colored by vizing_color with Delta + 1 colors, which fit
-    the budget, when every attempt failed, and at once when
-    epsilon*Delta/6 < 1: there a single flag fails an attempt, so none is
-    made.  The fallback draws from (cfg.seed, attempts made).  The returned
-    stats list why each failed attempt failed in restart_causes, so an empty
-    list with fallback_used means the attempts were skipped.
+    1 + max_restarts attempts are made.  When every attempt failed, and at
+    once when epsilon*Delta/6 < 1 (there a single flag fails an attempt, so
+    none is made), the whole graph is colored by vizing_color with
+    Delta + 1 colors, which fit the budget.  The fallback draws from
+    (cfg.seed, attempts made).  The returned stats list why each failed
+    attempt failed in restart_causes, so an empty list with fallback_used
+    means the attempts were skipped.
     """
     cfg.check()
     causes = []
-    skip = cfg.small_delta_fallback and g.m and cfg.flag_bound(g.max_degree) < 1
+    skip = g.m and cfg.flag_bound(g.max_degree) < 1
     for attempt in range(0 if skip else cfg.max_restarts + 1):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, attempt)))
         try:
@@ -637,17 +637,13 @@ def run_full(g: Graph, cfg: RunConfig) -> tuple[ColoringState, RunStats]:
         stats.restarts_used = attempt
         stats.restart_causes = causes
         return state, stats
-    if cfg.small_delta_fallback:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, len(causes))))
-        stats = RunStats.for_run(g, cfg)
-        stats.restarts_used = max(0, len(causes) - 1)
-        stats.restart_causes = causes
-        stats.fallback_used = True
-        t0 = time.perf_counter_ns()
-        state = vizing_color(g, rng, stats=stats)
-        stats.stage2_us = (time.perf_counter_ns() - t0) // 1000
-        stats.max_color_used = state.max_color_used()
-        return state, stats
-    raise Exhausted(
-        f"all {cfg.max_restarts + 1} attempts failed and fallback is disabled", causes=causes
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, len(causes))))
+    stats = RunStats.for_run(g, cfg)
+    stats.restarts_used = max(0, len(causes) - 1)
+    stats.restart_causes = causes
+    stats.fallback_used = True
+    t0 = time.perf_counter_ns()
+    state = vizing_color(g, rng, stats=stats)
+    stats.stage2_us = (time.perf_counter_ns() - t0) // 1000
+    stats.max_color_used = state.max_color_used()
+    return state, stats

@@ -48,25 +48,13 @@ class InsufficientColors(EdgeColorError):
 class ColoringFailed(EdgeColorError):
     """Stage 1 made the flagged subgraph too dense; the run must restart.
 
-    Carries the stats of the failed run up to the abort and the offending
-    flagged-subgraph degree.
+    Carries the stats of the failed run up to the abort; their delta_gstar
+    is the offending flagged-subgraph degree.
     """
 
-    def __init__(self, message, stats=None, gstar_degree=None):
+    def __init__(self, message, stats=None):
         super().__init__(message)
         self.stats = stats
-        self.gstar_degree = gstar_degree
-
-
-class Exhausted(EdgeColorError):
-    """All restarts failed and the Vizing fallback is disabled.
-
-    ``causes`` holds one line per failed attempt.
-    """
-
-    def __init__(self, message, causes=()):
-        super().__init__(message)
-        self.causes = list(causes)
 
 
 class TooLarge(EdgeColorError):

@@ -27,6 +27,7 @@ from .graph import Graph, build_graph
 # also str.split whitespace.
 _EOL = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _COMMENT = re.compile(rf"#[^{_EOL}]*")
+_LINE_END = re.compile(rf"[{_EOL}]")
 
 
 def _lines_re(width: int) -> re.Pattern:
@@ -51,13 +52,15 @@ _SPLIT_CHARS = 1 << 14
 
 def _token_chunks(text: str):
     """The tokens of a text that _lines_re accepted, comments dropped, one
-    list per chunk of about _SPLIT_CHARS characters cut just after a
-    newline, so no line spans two chunks."""
+    list per chunk of about _SPLIT_CHARS characters cut just after a line
+    break of any kind, so no line spans two chunks (the LF of a CRLF cut
+    after its CR is only whitespace)."""
     if "#" in text:
         text = _COMMENT.sub("", text)
     lo, end = 0, len(text)
     while lo < end:
-        hi = text.find("\n", lo + _SPLIT_CHARS) + 1 or end
+        cut = _LINE_END.search(text, lo + _SPLIT_CHARS)
+        hi = cut.end() if cut else end
         yield text[lo:hi].split()
         lo = hi
 

@@ -92,8 +92,9 @@ def test_bench_command(tmp_path, capsys):
         "--delta", "10", "--seed", "2", "--out", str(out),
     )
     assert code == 0
-    assert out.read_text().splitlines()[0].startswith("instance,")
-    assert "median_us_per_edge" in capsys.readouterr().out
+    assert out.read_text().splitlines()[0].startswith("model,n,m,delta,")
+    assert capsys.readouterr().out.startswith(
+        "n epsilon runs fallbacks median_us_per_edge median_total_us\n")
 
 
 def test_seed_env_var_with_flag_override(tmp_path, monkeypatch, capsys):
@@ -156,12 +157,10 @@ def test_restart_causes_and_fallback_on_stderr(tmp_path, capsys):
     assert not [line for line in err if line.startswith("restart: ")]
     assert [line for line in err if line.startswith("fallback: ")] == [
         "fallback: eps*D/6 = 0.333 < 1; Vizing coloring with D+1 = 5 colors (budget 6)"]
+    # There is no mode without the fallback: the old flag is a usage error.
     assert run_cli("color", "--input", str(graph), "--seed", "1", "--no-fallback",
-                   "--output", str(tmp_path / "c2.txt")) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len([line for line in err if line.startswith("restart: ")]) == 4
-    assert all("exceeds eps*D/6 = 0.333 after" in line for line in err[:4])
-    assert err[-1].startswith("FAIL: all 4 attempts failed")
+                   "--output", str(tmp_path / "c2.txt")) == 2
+    assert not (tmp_path / "c2.txt").exists()
 
 
 def test_fallback_after_failed_attempts_on_stderr(tmp_path, capsys):
@@ -289,7 +288,7 @@ def test_non_utf8_file_is_one_line_failure(tmp_path, capsys, command, bad_flag):
 
 
 # Every stderr line of color, verify and oracle starts with one of these.
-_STDERR_PREFIXES = ("error:", "conflict:", "incomplete:", "restart:", "fallback:", "colored", "FAIL:")
+_STDERR_PREFIXES = ("error:", "conflict:", "incomplete:", "restart:", "fallback:", "colored")
 
 _FUZZ_LINE = st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"),
                        st.sampled_from(["", " 1", " 2", " 3", " 0", " -1", " x", " 1 2"]))

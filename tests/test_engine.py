@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -10,7 +11,6 @@ from edgecolor import (
     ColoringFailed,
     ColoringState,
     EmptyPool,
-    Exhausted,
     FlagReason,
     InsufficientColors,
     RunConfig,
@@ -210,6 +210,29 @@ def test_color_one_deterministic():
     assert results[0] == results[1]
 
 
+def test_color_one_palette_stream_pinned():
+    # Pins color_one's random stream: every outcome and final coloring over
+    # 30 graphs and two configs (the second shifts, so later rounds sample
+    # too), hashed.
+    h = hashlib.sha256()
+    shifts = 0
+    for cfg in (RunConfig(epsilon=0.5), RunConfig(epsilon=0.3, kappa_const=1.0, ell_const=0.02)):
+        rng = rng_for(1919)
+        for _ in range(30):
+            g = random_graph(rng, max_n=30)
+            st = random_partial_state(g, cfg.total_colors(g.max_degree), rng)
+            stats = RunStats.for_run(g, cfg)
+            while blanks := blank_edges(st):
+                e = blanks[int(rng.integers(0, len(blanks)))]
+                out = color_one(st, e, g.edge_u[e], cfg, rng, stats=stats)
+                h.update(repr((out.colored, out.iterations, out.flagged_edge,
+                               out.reason and out.reason.value)).encode())
+            h.update(repr(list(st.slot)).encode())
+            shifts += stats.shift_count
+    assert shifts > 0
+    assert h.hexdigest() == "4828f4b70739b3b04a4997e8e9310f583cf44dcc3ddd09e4af63bc26c611005b"
+
+
 # ---------------------------------------------------------------------------
 # greedy_color
 # ---------------------------------------------------------------------------
@@ -397,27 +420,8 @@ def test_run_full_always_proper_with_fallback():
         report = validate_proper(st)
         assert report.ok and report.blank_count == 0 and report.flagged_count == 0
         if stats.fallback_used:
-            assert stats.max_color_used <= max(1, 2 * g.max_degree - 1)
+            assert stats.max_color_used <= g.max_degree + 1
         assert stats.max_color_used <= RunConfig(epsilon=eps).total_colors(g.max_degree)
-
-
-def test_run_full_exhausted_without_fallback():
-    # kappa = 1 makes fan failures likely, any flag on a 5-cycle forces FAIL,
-    # and with max_restarts=0 plus no fallback the driver must give up.
-    from dataclasses import replace
-
-    g = cycle(5)
-    cfg = RunConfig(epsilon=0.1, kappa_const=0.01, max_restarts=0,
-                    small_delta_fallback=False)
-    saw_exhausted = False
-    for seed in range(40):
-        try:
-            st, _ = run_full(g, replace(cfg, seed=seed))
-            assert validate_proper(st).ok
-        except Exhausted:
-            saw_exhausted = True
-            break
-    assert saw_exhausted
 
 
 def test_run_full_restart_seed_derivation():
@@ -474,8 +478,8 @@ def test_failed_attempt_stops_at_first_flag_past_bound(monkeypatch):
                 failures += 1
                 state, stats = made[-1], exc.stats
                 degrees = _flag_degrees(state)
-                assert exc.gstar_degree > bound
-                assert max(degrees) == exc.gstar_degree == stats.delta_gstar
+                assert stats.delta_gstar > bound
+                assert max(degrees) == stats.delta_gstar
                 assert stats.flagged_count == stats.gstar_edges == sum(
                     1 for c in state.slot if c == FLAGGED)
                 assert stats.colored_stage1 == state.colored_count
@@ -521,11 +525,6 @@ def test_run_full_keeps_restart_causes():
     assert stats.fallback_used and stats.restarts_used == 0
     assert stats.restart_causes == []
     assert stats.max_color_used <= g.max_degree + 1
-    with pytest.raises(Exhausted) as info:
-        run_full(g, RunConfig(epsilon=0.5, seed=1, small_delta_fallback=False))
-    causes = info.value.causes
-    assert [c.split(":")[0] for c in causes] == [f"attempt {i}" for i in range(4)]
-    assert all("exceeds eps*D/6 = 0.333 after" in c for c in causes)
     g12 = random_regular(200, 12, rng_for(1))
     _, ok = run_full(g12, RunConfig(epsilon=0.5, seed=1))
     assert not ok.fallback_used and len(ok.restart_causes) == ok.restarts_used == 1
@@ -536,9 +535,8 @@ def test_run_full_keeps_restart_causes():
 
 
 def test_run_full_empty_graph_makes_no_fallback():
-    for cfg in (RunConfig(epsilon=0.5), RunConfig(epsilon=0.5, small_delta_fallback=False)):
-        st, stats = run_full(build_graph([], 4), cfg)
-        assert list(st.slot) == [] and not stats.fallback_used and stats.restarts_used == 0
+    st, stats = run_full(build_graph([], 4), RunConfig(epsilon=0.5))
+    assert list(st.slot) == [] and not stats.fallback_used and stats.restarts_used == 0
 
 
 _CONTRACT_UNDER_O = """

@@ -368,10 +368,14 @@ def test_parsers_peak_memory():
     # m = 50k.  A file in edge order is read with no m-entry edge dict: ~15
     # B/edge here, against ~200 for the line loop.  parse_edge_list peaks no
     # higher than the line-by-line reference (113 against 131 B/edge here).
+    # Lines ended by \r alone are split in chunks too, not all at once.
     rng = rng_for(3)
     text = format_edge_list(random_regular(12500, 8, rng))
     g, labels = parse_edge_list(text)
     coloring = format_coloring(g, rng.integers(1, 10, size=g.m).tolist(), labels)
     assert g.m == 50_000
-    assert _traced_peak(parse_coloring, coloring, g, labels) < 50 * g.m
-    assert _traced_peak(parse_edge_list, text) <= 1.05 * _traced_peak(reference_parse_edge_list, text)
+    for eol in ("\n", "\r"):
+        edges, colors = text.replace("\n", eol), coloring.replace("\n", eol)
+        assert _traced_peak(parse_coloring, colors, g, labels) < 50 * g.m, repr(eol)
+        assert _traced_peak(parse_edge_list, edges) <= 1.05 * _traced_peak(
+            reference_parse_edge_list, edges), repr(eol)
