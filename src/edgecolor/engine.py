@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from array import array
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -383,7 +384,7 @@ def color_one(
     kappa = cfg.kappa(delta)
     ell = cfg.ell(delta)
     first = sample_palette(range(1, q1 + 1), kappa, rng)
-    path_counts = [0] * (min(ell, g.m) + 1)  # a path has at most m edges
+    path_counts = [0] * (min(ell, g.n - 1) + 1)  # a simple path has at most n - 1 edges
     colored, iters, fedge, reason = _color_one_raw(
         state, e, x, q1, kappa, ell, cfg.rounds(delta),
         cfg.palette_floor(delta), first, rng, path_counts, stats,
@@ -473,10 +474,10 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     if stats is None:
         stats = RunStats()
     palette = list(range(1, q + 1))
-    path_counts = [0] * (m + 1)  # a path has at most m edges
+    path_counts = [0] * max(g.n, 1)  # a simple path has at most n - 1 edges
     raw = _color_one_raw
     chained = 0
-    for e in rng.permutation(m).tolist():
+    for e in array("i", rng.permutation(m).astype(np.int32).tobytes()):
         u = eu[e]
         mu = miss[u]
         mv = miss[ev[e]]
@@ -534,11 +535,13 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
 
     t0 = time.perf_counter_ns()
     # Pre-drawn uniform picks: position in the shrinking pool U, and a coin
-    # for which endpoint becomes the pivot.
-    picks = rng.integers(0, np.arange(m, 0, -1)).tolist()
-    coins = rng.integers(0, 2, size=m).tolist()
-    pool = list(range(m))
-    path_counts = [0] * (min(ell, m) + 1)  # a path has at most m edges
+    # for which endpoint becomes the pivot.  Machine-typed, so the per-edge
+    # scratch is 9 bytes and no int object; edge ids already fit in "i", as
+    # in the missing rows.
+    picks = array("i", rng.integers(0, np.arange(m, 0, -1)).astype(np.int32).tobytes())
+    coins = rng.integers(0, 2, size=m).astype(np.int8).tobytes()
+    pool = array("i", np.arange(m, dtype=np.int32).tobytes())
+    path_counts = [0] * (min(ell, g.n - 1) + 1)  # a simple path has at most n - 1 edges
     iter_counts = [0] * (min(rounds, q1) + 1)  # each later round drops >= 1 of q1 colors
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     raw = _color_one_raw

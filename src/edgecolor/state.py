@@ -111,7 +111,7 @@ class ColoringState:
         return np.flatnonzero(np.asarray(self.slot) == FLAGGED).tolist()
 
     def max_color_used(self) -> int:
-        return max((c for c in self.slot if c > 0), default=0)
+        return max(max(self.slot, default=0), 0)
 
 
 @dataclass

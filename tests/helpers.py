@@ -1,8 +1,10 @@
-"""Shared fuzzing helpers: random graphs and random proper partial colorings."""
+"""Shared test helpers: random graphs, random proper partial colorings,
+reference implementations and a tracemalloc probe."""
 
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 
@@ -14,6 +16,17 @@ from edgecolor.state import BLANK, FLAGGED
 
 def rng_for(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def traced_memory(f, *args):
+    """Run f(*args) under tracemalloc: (result, bytes it allocated and still
+    holds, peak bytes during the call)."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
 
 
 def random_graph(rng, max_n=40, min_n=2) -> Graph:

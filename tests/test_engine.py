@@ -35,6 +35,7 @@ from helpers import (
     random_graph,
     random_partial_state,
     rng_for,
+    traced_memory,
 )
 
 
@@ -537,6 +538,17 @@ def test_run_full_keeps_restart_causes():
 def test_run_full_empty_graph_makes_no_fallback():
     st, stats = run_full(build_graph([], 4), RunConfig(epsilon=0.5))
     assert list(st.slot) == [] and not stats.fallback_used and stats.restarts_used == 0
+
+
+@pytest.mark.parametrize("n, d, bound", [(1000, 40, 120), (10000, 4, 96)])
+def test_run_full_peak_memory_per_edge(n, d, bound):
+    # m = 20k.  Stage 1 (d=40) and the Vizing fallback (d=4) keep their
+    # per-edge scratch in typed arrays: tracemalloc peak 90.9 and 76.4 B/edge
+    # here, against 150.6 and 116.0 with a Python int object per edge.
+    g = random_regular(n, d, rng_for(0))
+    (_, stats), _, peak = traced_memory(run_full, g, RunConfig(epsilon=0.5))
+    assert stats.fallback_used == (d == 4)
+    assert peak / g.m <= bound, peak / g.m
 
 
 _CONTRACT_UNDER_O = """

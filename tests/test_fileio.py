@@ -1,5 +1,4 @@
 import string
-import tracemalloc
 from array import array
 from contextlib import contextmanager
 from functools import lru_cache
@@ -27,6 +26,7 @@ from helpers import (
     reference_parse_coloring,
     reference_parse_edge_list,
     rng_for,
+    traced_memory,
 )
 
 
@@ -355,15 +355,6 @@ def test_coloring_with_repeated_labels_matches_reference():
         assert_coloring_matches_reference(text, g, labels)
 
 
-def _traced_peak(f, *args) -> int:
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_parsers_peak_memory():
     # m = 50k.  A file in edge order is read with no m-entry edge dict: ~15
     # B/edge here, against ~200 for the line loop.  parse_edge_list peaks no
@@ -376,6 +367,6 @@ def test_parsers_peak_memory():
     assert g.m == 50_000
     for eol in ("\n", "\r"):
         edges, colors = text.replace("\n", eol), coloring.replace("\n", eol)
-        assert _traced_peak(parse_coloring, colors, g, labels) < 50 * g.m, repr(eol)
-        assert _traced_peak(parse_edge_list, edges) <= 1.05 * _traced_peak(
-            reference_parse_edge_list, edges), repr(eol)
+        assert traced_memory(parse_coloring, colors, g, labels)[2] < 50 * g.m, repr(eol)
+        assert traced_memory(parse_edge_list, edges)[2] <= 1.05 * traced_memory(
+            reference_parse_edge_list, edges)[2], repr(eol)

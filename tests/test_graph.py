@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from edgecolor import MalformedInput, build_graph
 from edgecolor.fileio import format_edge_list, parse_edge_list
 from edgecolor.generators import random_regular
+from helpers import traced_memory
 
 
 def test_triangle():
@@ -73,13 +72,7 @@ def test_graph_retains_only_the_endpoint_lists():
     # add ~4.4 B/edge at n=2000, d=20.  A tuple per edge would add 64 more.
     ref = random_regular(2000, 20, np.random.default_rng(3))
     pairs = np.array((ref.edge_u, ref.edge_v)).T
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        g = build_graph(pairs, ref.n)
-        retained = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
+    g, retained, _ = traced_memory(build_graph, pairs, ref.n)
     assert g.m == 20_000
     assert retained / g.m <= 32, retained / g.m
 

@@ -112,6 +112,18 @@ def test_flag_colored_raises():
         st.flag(1)
 
 
+def test_max_color_used_ignores_blank_and_flagged():
+    assert ColoringState(build_graph([], 2), 1).max_color_used() == 0
+    st = ColoringState(triangle(), 3)
+    assert st.max_color_used() == 0
+    for e in range(3):
+        st.flag(e)
+    assert st.max_color_used() == 0  # every slot FLAGGED (-1)
+    st._unflag(1)
+    st.assign(1, 3)
+    assert st.max_color_used() == 3
+
+
 def test_validate_detects_planted_conflict():
     g = build_graph([(0, 1), (0, 2)], 3)
     st = ColoringState(g, 2)
