@@ -125,13 +125,13 @@ def _make_fan_core(miss, eu, ev, e, x, colors, first_eta=0):
 
     ``miss`` is the state's edge-id table: color c is missing at vertex z
     when ``miss[z][c] < 0``, else ``miss[z][c]`` is the edge holding it.
-    ``colors`` must be ascending; duplicates are tolerated (only ascending
-    minima are taken).  ``first_eta``, when nonzero, is the already-computed
-    minimum color missing at the far endpoint of e, so the first frontier
-    scan can be skipped.  Returns (leaves, leaf_eids, alpha, j) or None on
-    failure.  j is 1-based: j == len(leaves) means alpha is missing at the
-    pivot (happy fan), else 1 <= j < len(leaves) and leaves[j] holds the
-    pivot's alpha edge.
+    Each frontier leaf takes the first color of ``colors`` missing there, in
+    the given order; duplicates are tolerated (a repeat never comes first).
+    ``first_eta``, when nonzero, is the already-computed first color missing
+    at the far endpoint of e, so the first frontier scan can be skipped.
+    Returns (leaves, leaf_eids, alpha, j) or None on failure.  j is 1-based:
+    j == len(leaves) means alpha is missing at the pivot (happy fan), else
+    1 <= j < len(leaves) and leaves[j] holds the pivot's alpha edge.
     """
     y = eu[e] + ev[e] - x
     leaves = [y]

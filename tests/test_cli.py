@@ -164,12 +164,13 @@ def test_restart_causes_and_fallback_on_stderr(tmp_path, capsys):
 
 
 def test_fallback_after_failed_attempts_on_stderr(tmp_path, capsys):
-    # eps*D/6 = 1, so the attempt is made; it fails and Vizing colors the graph.
+    # eps*D/6 = 1, so the attempt is made; with seed 15 it fails and Vizing
+    # colors the graph.
     graph = tmp_path / "g.txt"
     run_cli("gen", "--model", "random_regular", "--n", "200", "--d", "12", "--seed", "1",
             "--out", str(graph))
     capsys.readouterr()
-    assert run_cli("color", "--input", str(graph), "--seed", "0", "--max-restarts", "0",
+    assert run_cli("color", "--input", str(graph), "--seed", "15", "--max-restarts", "0",
                    "--output", str(tmp_path / "c.txt")) == 0
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("restart: attempt 0: ")]) == 1
@@ -189,6 +190,22 @@ def _graph(tmp_path):
     graph = tmp_path / "g.txt"
     run_cli("gen", "--model", "complete", "--n", "4", "--out", str(graph))
     return str(graph)
+
+
+def test_color_huge_kappa_const_is_clamped(tmp_path, capsys):
+    # kappa is clamped to q1 * (ln q1 + 1) before anything is sized by it, so
+    # a huge finite constant colors the graph instead of overflowing.
+    graph = _graph(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgecolor", "color", "--input", graph, "--kappa-const", "1e300",
+         "--output", str(tmp_path / "c.txt"), "--stats", str(tmp_path / "s.txt")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    # K4: D = 3, q1 = 4, and 4 * (ln 4 + 1) = 9.5 rounds up to 10.
+    assert "kappa=10\n" in (tmp_path / "s.txt").read_text()
+    capsys.readouterr()
+    assert run_cli("verify", "--input", graph, "--coloring", str(tmp_path / "c.txt")) == 0
 
 
 @pytest.mark.parametrize("params", [

@@ -25,16 +25,16 @@ CASES = {
     # eps*D/6 = 1: the only attempt fails, then Vizing colors with D+1.
     "fallback-after-attempt-d12": (
         GenSpec("random_regular", n=200, d=12, seed=1),
-        RunConfig(epsilon=0.5, seed=1, max_restarts=0),
-        "dca8836d10ae5b395c1fe2acd41737668198c82d5d6f7ed0134ae72a0063731f",
+        RunConfig(epsilon=0.5, seed=6, max_restarts=0),
+        "d8d3a16b81819c9786ae514f6a709750133dc540446428078e6f7c32cb4052bb",
         (0, True),
         False,
     ),
     # eps*D/6 = 1: attempt 0 fails, attempt 1 succeeds.
     "restart-d12": (
         GenSpec("random_regular", n=200, d=12, seed=1),
-        RunConfig(epsilon=0.5, seed=1),
-        "f375386258aa4b5107603ae1a8227e058681533e0cc23fe5869830b02fd2397f",
+        RunConfig(epsilon=0.5, seed=6),
+        "1575b005bcb9f61514b7eefd9382e07533935f6c4ca704843ae1ff404e20b460",
         (1, False),
         False,
     ),
@@ -42,32 +42,32 @@ CASES = {
     "inregime-d40": (
         GenSpec("random_regular", n=400, d=40, seed=2),
         RunConfig(epsilon=0.5, seed=2),
-        "04e9523bafb332c4478b261db97c7548da41c46058b5505721e8b4ac7351126e",
+        "ff10187a30c75fba018c302957ee9c6485a4d4fd485cb600eef53c20f1d8979b",
         (0, False),
         False,
     ),
-    # A small path cap makes chains truncate and shift the blank edge.
+    # A small path cap (ell = 34) makes chains truncate and shift the blank edge.
     "shift-d60": (
         GenSpec("random_regular", n=400, d=60, seed=3),
-        RunConfig(epsilon=0.2, ell_const=0.02, seed=3),
-        "18fa0b940e288a4bc8333f60208b9b0e493cb3601905384082c168e92f56c515",
+        RunConfig(epsilon=0.2, ell_const=0.005, seed=3),
+        "9215879fcb91902e93104731ab28d370d91f9befd6837837540d7783190340c9",
         (0, False),
         True,
     ),
     # Shifting plus one restart: attempt 0 fails, attempt 1 succeeds.
     "shift-restart-d40": (
         GenSpec("random_regular", n=400, d=40, seed=3),
-        RunConfig(epsilon=0.2, ell_const=0.02, seed=3),
-        "d2b4a17d20a30e9d05b9cd5819dc48ceba699fbe14c3ec77e01838f9d7e30ac6",
+        RunConfig(epsilon=0.2, ell_const=0.005, seed=3),
+        "41d6fa006455f4c3a7e0159aa314a2ea8c54d5db5bbae5d989b4caeb844e9793",
         (1, False),
         True,
     ),
     # A small palette sample leaves the pool above the floor after round 1, so
-    # shifted edges are colored in rounds 2 and 3; 433 flagged edges go to stage 2.
+    # shifted edges are colored in rounds 2 and 3; 432 flagged edges go to stage 2.
     "multiround-d60": (
         GenSpec("random_regular", n=200, d=60, seed=1),
-        RunConfig(epsilon=0.9, kappa_const=1.0, ell_const=0.05, seed=1),
-        "15d19439060083178391cbd519cf824bcc618cbbc2e2be17afdeb47550cfa301",
+        RunConfig(epsilon=0.9, kappa_const=1.0, ell_const=0.05, seed=3),
+        "397bb7e63e62dd9ee12f9b1237e17189c1c9f3efc8c82f263615eadb546ab7b3",
         (0, False),
         True,
     ),
