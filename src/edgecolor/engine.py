@@ -1,9 +1,10 @@
 """Randomized coloring drivers.
 
-Stage 1 repeatedly picks a random uncolored edge and tries to color it with a
-Vizing chain built from a small random palette; when a chain's path hits the
-length cap, the blank edge is shifted to a random point along the path and the
-attempt continues with a fresh, disjoint palette.  Edges whose attempts fail
+Stage 1 repeatedly picks a random uncolored edge and samples a small random
+palette: first sampled color free at both ends, else a fan from the first
+missing at the far end, grown into a Vizing chain.  When a chain's path hits
+the length cap, the blank edge is shifted to a random point along the path and
+the attempt continues with a fresh, disjoint palette.  Edges whose attempts fail
 are flagged.  Stage 2 greedy-colors the flagged subgraph with a disjoint block
 of colors.  A run fails when the flagged subgraph is too dense for the
 stage-2 budget.  run_full restarts failed runs and, when every attempt
@@ -42,6 +43,9 @@ def _ceil(value: float) -> int:
     return math.ceil(value - 1e-9)
 
 
+_INT32_MAX = 2**31 - 1  # the range edge ids live in; caps ell and rounds
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of a coloring run.
@@ -58,7 +62,8 @@ class RunConfig:
     geometrically.  All three are clamped to usable minimums on tiny graphs,
     and kappa to q1 * (ln q1 + 1), q1 = stage1_colors(max_degree): that is
     at least q1 * H(q1), the expected number of draws that see all q1
-    colors, and more draws mostly repeat colors.
+    colors, and more draws mostly repeat colors.  ell and rounds are clamped
+    to 2**31 - 1, so a huge finite constant cannot overflow.
 
     run_full makes up to 1 + max_restarts stage-1 attempts.  It colors the
     graph with max_degree + 1 colors by vizing_color instead when
@@ -89,10 +94,10 @@ class RunConfig:
         return max(1, _ceil(kappa))
 
     def ell(self, delta: int) -> int:
-        return max(2, _ceil(self.ell_const * self.kappa(delta) ** 2))
+        return max(2, _ceil(min(self.ell_const * self.kappa(delta) ** 2, _INT32_MAX)))
 
     def rounds(self, delta: int) -> int:
-        return max(1, _ceil(self.t_const * math.log(delta)))
+        return max(1, _ceil(min(self.t_const * math.log(delta), _INT32_MAX)))
 
     def stage1_colors(self, delta: int) -> int:
         """Stage-1 palette size: ceil((1 + epsilon/2) * delta)."""
@@ -229,10 +234,10 @@ def _first_palettes(q1: int, kappa: int, rng):
     """Round-1 palettes from [1, q1], drawn in (_SAMPLER_ROWS, kappa) blocks; rows as drawn.
 
     Lazy, so the stream stays a pure function of (seed, call order).  Rows
-    may repeat a color; consumers take the first sampled color missing, in
-    draw order, so a repeat never wins.  Sorted rows (the smallest missing
-    color) walked 210,571 path edges, longest 341, against 79,302 and 45
-    (random_regular n=4000, D=100, eps=0.5; see the README).
+    may repeat a color; consumers take the first sampled color free at both
+    ends, else a fan from the first missing at the far end, in draw order,
+    so a repeat never wins.  That walked 6,422 path edges, a fan alone 79,302
+    and sorted rows 210,571 (random_regular n=4000, D=100, eps=0.5; README).
     """
     while True:
         yield from rng.integers(1, q1 + 1, size=(_SAMPLER_ROWS, kappa), dtype=np.int32).tolist()
@@ -246,8 +251,9 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
     """Try to color blank edge e, shifting it along capped chains as needed.
 
     ``first_C`` is the round-1 palette sample (duplicates allowed); later
-    rounds sample their own disjoint palettes.  Each color choice takes the
-    first color of the sample missing at the vertex, in the sample's order.
+    rounds sample their own disjoint palettes.  Each round takes the first
+    sampled color free at both ends, else a fan from the first missing at
+    the far end; every color choice scans the sample in draw order.
     ``path_counts`` is a length histogram indexed by path length.  Returns
     (colored, iterations, flagged_edge, reason), reason a FlagReason or None
     when colored.  Exactly one of two postconditions holds: e joined the
@@ -280,28 +286,28 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
             sampled |= cset
             pool = [c for c in pool if c not in cset]
 
-        # Single-leaf fast path: the first sampled color missing at the far
-        # endpoint is also missing at the pivot, so e can be colored at once.
-        # This is exactly the first iteration of the fan builder followed by
-        # a length-one (no-op) shift.
+        # First fit (the trivial Vizing chain), else eta, the first sampled
+        # color missing at the far endpoint, starts the fan.
         y = eu[e] + ev[e] - x
         my = miss[y]
         mx = miss[x]
+        eta = 0
         for c in C:
             if my[c] < 0:
-                break
-        else:
+                if mx[c] < 0:
+                    path_counts[0] += 1
+                    slot[e] = c
+                    my[c] = e
+                    mx[c] = e
+                    state.colored_count += 1
+                    return True, t, -1, None
+                if not eta:
+                    eta = c
+        if not eta:
             state.flag(e)
             return False, t, e, FlagReason.FAN_FAIL
-        if mx[c] < 0:
-            path_counts[0] += 1
-            slot[e] = c
-            my[c] = e
-            mx[c] = e
-            state.colored_count += 1
-            return True, t, -1, None
 
-        fan = _make_fan_core(miss, eu, ev, e, x, C, first_eta=c)
+        fan = _make_fan_core(miss, eu, ev, e, x, C, first_eta=eta)
         if fan is None:
             state.flag(e)
             return False, t, e, FlagReason.FAN_FAIL
@@ -460,7 +466,8 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     Edges are visited in a random order.  Each takes the smallest color in
     [1, max_degree + 1] free at both endpoints; when there is none, the
     stage-1 routine colors it with a Vizing chain over the full palette and
-    no path cap.  Every vertex then misses some color, so neither a fan nor
+    no path cap.  Both drivers first-fit inline and pass only the misses to
+    _color_one_raw.  Every vertex then misses some color, so neither a fan nor
     a pivot can fail and no edge is flagged.  ``stats.path_hist`` counts the
     first-fit edges with the fast paths at length 0.
     """
@@ -530,6 +537,8 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     bound = cfg.flag_bound(delta)
 
     state = ColoringState(g, q_cap)
+    slot = state.slot
+    miss = state.missing
     eu = g.edge_u
     ev = g.edge_v
 
@@ -546,19 +555,34 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     raw = _color_one_raw
     next_palette = _first_palettes(q1, kappa, rng).__next__
+    fast = 0  # edges first-fit below; added to the counters after the loop
     for i in range(m):
         pos = picks[i]
         e = pool[pos]
         last = pool.pop()
         if pos < len(pool):
             pool[pos] = last
-        x = eu[e] if coins[i] else ev[e]
-        colored, iters, fedge, reason = raw(
-            state, e, x, q1, kappa, ell, rounds, floor_q, next_palette(), rng,
-            path_counts, stats,
-        )
-        iter_counts[iters] += 1
-        if not colored:
+        u = eu[e]
+        v = ev[e]
+        mu = miss[u]
+        mv = miss[v]
+        C = next_palette()
+        # _color_one_raw's round-1 first fit, inlined: it is all most edges need.
+        for c in C:
+            if mu[c] < 0 and mv[c] < 0:
+                slot[e] = c
+                mu[c] = e
+                mv[c] = e
+                fast += 1
+                break
+        else:
+            colored, iters, fedge, reason = raw(
+                state, e, u if coins[i] else v, q1, kappa, ell, rounds, floor_q, C, rng,
+                path_counts, stats,
+            )
+            iter_counts[iters] += 1
+            if colored:
+                continue
             if reason is FlagReason.FAN_FAIL:
                 stats.flags_fan += 1
             elif reason is FlagReason.PIVOT_FAIL:
@@ -571,14 +595,14 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
             flag_degree[fv] += 1
             worst = max(flag_degree[fu], flag_degree[fv])
             if worst > bound:
-                _stage1_stats(stats, state, t0, path_counts, iter_counts)
+                _stage1_stats(stats, state, t0, path_counts, iter_counts, fast)
                 stats.delta_gstar = worst
                 raise ColoringFailed(
                     f"flagged subgraph degree {worst} exceeds eps*D/6 = {bound:.3f} "
                     f"after {i + 1} of {m} edges",
                     stats=stats,
                 )
-    _stage1_stats(stats, state, t0, path_counts, iter_counts)
+    _stage1_stats(stats, state, t0, path_counts, iter_counts, fast)
     _check(state.colored_count + state.flagged_count == m, "colored + flagged == m")
     _check(stats.flags_total == state.flagged_count, "flag reasons add up to flagged_count")
 
@@ -598,10 +622,14 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     return state, stats
 
 
-def _stage1_stats(stats, state, t0, path_counts, iter_counts) -> None:
+def _stage1_stats(stats, state, t0, path_counts, iter_counts, fast) -> None:
     # A module-level helper, not a closure: closing over the stage-1 locals
     # would turn them into cell variables and slow every read in the loop.
+    # ``fast`` edges were first-fit inline in round 1 and not counted yet.
     stats.stage1_us = (time.perf_counter_ns() - t0) // 1000
+    path_counts[0] += fast
+    iter_counts[1] += fast
+    state.colored_count += fast
     stats.colored_stage1 = state.colored_count
     stats.flagged_count = state.flagged_count
     stats.gstar_edges = state.flagged_count

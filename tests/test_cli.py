@@ -164,13 +164,13 @@ def test_restart_causes_and_fallback_on_stderr(tmp_path, capsys):
 
 
 def test_fallback_after_failed_attempts_on_stderr(tmp_path, capsys):
-    # eps*D/6 = 1, so the attempt is made; with seed 15 it fails and Vizing
+    # eps*D/6 = 1, so the attempt is made; with seed 17 it fails and Vizing
     # colors the graph.
     graph = tmp_path / "g.txt"
     run_cli("gen", "--model", "random_regular", "--n", "200", "--d", "12", "--seed", "1",
             "--out", str(graph))
     capsys.readouterr()
-    assert run_cli("color", "--input", str(graph), "--seed", "15", "--max-restarts", "0",
+    assert run_cli("color", "--input", str(graph), "--seed", "17", "--max-restarts", "0",
                    "--output", str(tmp_path / "c.txt")) == 0
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("restart: attempt 0: ")]) == 1
@@ -239,6 +239,21 @@ def test_color_huge_constants_still_color(tmp_path, capsys, flags):
     assert run_cli("color", "--input", graph, "--output", coloring, *flags) == 0
     assert run_cli("verify", "--input", graph, "--coloring", coloring) == 0
     assert capsys.readouterr().out.startswith("OK: 6 edges")
+
+
+@pytest.mark.parametrize("flag, derived", [("--ell-const", "ell"), ("--t-const", "rounds")])
+def test_color_overflowing_constant_is_clamped(tmp_path, capsys, flag, derived):
+    # On K40, 1e308 times kappa**2 (or ln D) is inf as a float; the derived
+    # cap is clamped to 2**31 - 1 before rounding, so the run colors.
+    graph = tmp_path / "g.txt"
+    run_cli("gen", "--model", "complete", "--n", "40", "--out", str(graph))
+    coloring = str(tmp_path / "c.txt")
+    assert run_cli("color", "--input", str(graph), "--output", coloring, flag, "1e308",
+                   "--stats", str(tmp_path / "s.txt")) == 0
+    assert f"\n{derived}=2147483647\n" in (tmp_path / "s.txt").read_text()
+    capsys.readouterr()
+    assert run_cli("verify", "--input", str(graph), "--coloring", coloring) == 0
+    assert capsys.readouterr().out.startswith("OK: 780 edges")
 
 
 def test_color_negative_max_restarts_is_usage_error(tmp_path, capsys):

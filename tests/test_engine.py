@@ -154,22 +154,26 @@ def test_color_one_forced_fan_failure():
 
 def _shift_gadget():
     # A fan whose chain path always hits a cap of 2, followed by an exhausted
-    # pool: x=0, y0=1, y1=2, v2=3, w=4, v3=5, v4=6 with
-    # (x,y1)=1, (x,w)=3, (y1,v2)=2, (v2,v3)=1, (v3,v4)=2; blank (x,y0).
-    g = build_graph([(0, 1), (0, 2), (0, 4), (2, 3), (3, 5), (5, 6)], 7)
+    # pool: x=0, y0=1, y1=2, v2=3, w=4, v3=5, v4=6, u=7 with
+    # (x,y1)=1, (x,w)=3, (y1,v2)=2, (v2,v3)=1, (v3,v4)=2, (y0,u)=2; blank
+    # (x,y0).  (y0,u) takes x's only missing color 2 from y0, so no color is
+    # free at both ends of the blank edge and it cannot be colored at once.
+    g = build_graph([(0, 1), (0, 2), (0, 4), (2, 3), (3, 5), (5, 6), (1, 7)], 8)
     st = ColoringState(g, 4)
     st.assign(1, 1)
     st.assign(2, 3)
     st.assign(3, 2)
     st.assign(4, 1)
     st.assign(5, 2)
+    st.assign(6, 2)
     return g, st
 
 
 def test_color_one_shift_then_palette_floor():
     # ell_const makes the cap 2.  The seeds are ones whose first draw is 1:
-    # the fan then reaches a path of length 4 (other orders color e at once
-    # or close a happy fan or a short path), so it is cut, forcing one shift.
+    # the fan then reaches a path of length 4 (other orders close a happy fan
+    # or a short path, or sample no color missing at x), so it is cut,
+    # forcing one shift.
     # Round two finds the pool under the floor (1 + eps/100) * 3 and flags.
     cfg = RunConfig(epsilon=0.5, kappa_const=50.0, ell_const=0.0001)
     for seed in (11, 14, 21, 23, 27, 30):
@@ -240,7 +244,7 @@ def test_color_one_palette_stream_pinned():
             h.update(repr(list(st.slot)).encode())
             shifts += stats.shift_count
     assert shifts > 0
-    assert h.hexdigest() == "d50053eccd3cf5b85c337e0e0c0bb1346eb6fc167395c2c829a61a3bdc254546"
+    assert h.hexdigest() == "fc3765df808a03f1faa876e0a63d3a98ec4d8cf18730867253c035e3487b9236"
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +439,10 @@ def test_run_full_always_proper_with_fallback():
 
 
 def test_run_full_restart_seed_derivation():
-    # eps*D/6 = 1, so stage-1 attempts are made; with seed 6 the first fails
+    # eps*D/6 = 1, so stage-1 attempts are made; with seed 117 the first fails
     # (golden case restart-d12).
     g = random_regular(200, 12, rng_for(1))
-    cfg = RunConfig(epsilon=0.5, seed=6, max_restarts=3)
+    cfg = RunConfig(epsilon=0.5, seed=117, max_restarts=3)
     st1, stats1 = run_full(g, cfg)
     st2, stats2 = run_full(g, cfg)
     assert st1.slot == st2.slot
@@ -448,14 +452,18 @@ def test_run_full_restart_seed_derivation():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_run_full_short_chains_in_draw_order(seed):
-    # Stage 1 takes the first sampled color missing, in draw order.  Taking the
-    # smallest instead fills the low colors everywhere and walks 1.049-1.063
-    # path edges per edge on these graphs; draw order walks 0.404-0.410.
+    # Stage 1 colors an edge at once with the first sampled color free at both
+    # ends, else builds a fan from the first one missing at the far end, in
+    # draw order.  Taking the smallest missing color instead walks 1.049-1.063
+    # path edges per edge on these graphs, and the fan from the first missing
+    # color with no first fit 0.404-0.410 with 0.87 of edges at length 0;
+    # first fit walks 0.029-0.033 with 0.99 at length 0.
     g = random_regular(1000, 100, rng_for(seed))
     _, stats = run_full(g, RunConfig(epsilon=0.5, seed=seed))
     assert not stats.fallback_used
     walked = sum(k * count for k, count in stats.path_hist.items())
-    assert walked / g.m <= 0.6, walked / g.m
+    assert walked / g.m <= 0.1, walked / g.m
+    assert stats.path_hist[0] / g.m >= 0.95, stats.path_hist[0] / g.m
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +556,9 @@ def test_run_full_keeps_restart_causes():
     assert stats.restart_causes == []
     assert stats.max_color_used <= g.max_degree + 1
     g12 = random_regular(200, 12, rng_for(1))
-    _, ok = run_full(g12, RunConfig(epsilon=0.5, seed=6))
+    _, ok = run_full(g12, RunConfig(epsilon=0.5, seed=117))
     assert not ok.fallback_used and len(ok.restart_causes) == ok.restarts_used == 1
-    _, fell = run_full(g12, RunConfig(epsilon=0.5, seed=6, max_restarts=0))
+    _, fell = run_full(g12, RunConfig(epsilon=0.5, seed=117, max_restarts=0))
     assert fell.fallback_used and fell.restarts_used == 0
     assert fell.restart_causes == ok.restart_causes
     assert fell.max_color_used <= g12.max_degree + 1
@@ -580,8 +588,9 @@ from edgecolor.generators import random_regular
 real = engine.flagged_subgraph
 engine.flagged_subgraph = lambda state, g: (real(state, g)[0], 1000)
 g = random_regular(400, 40, np.random.default_rng(np.random.SeedSequence(2)))
+# This attempt flags one edge, so stage 2 and its q1 + q2 check run.
 try:
-    edge_color(g, RunConfig(epsilon=0.5), np.random.default_rng(np.random.SeedSequence((2, 0))))
+    edge_color(g, RunConfig(epsilon=0.5), np.random.default_rng(np.random.SeedSequence((0, 0))))
 except ImproperAugment as exc:
     print(exc)
 """
