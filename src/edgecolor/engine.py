@@ -1,15 +1,15 @@
 """Randomized coloring drivers.
 
-Stage 1 repeatedly picks a random uncolored edge and samples a small random
-palette: first sampled color free at both ends, else a fan from the first
-missing at the far end, grown into a Vizing chain.  When a chain's path hits
-the length cap, the blank edge is shifted to a random point along the path and
-the attempt continues with a fresh, disjoint palette.  Edges whose attempts fail
-are flagged.  Stage 2 greedy-colors the flagged subgraph with a disjoint block
-of colors.  A run fails when the flagged subgraph is too dense for the
-stage-2 budget.  run_full restarts failed runs and, when every attempt
-failed or epsilon*Delta/6 < 1, falls back to vizing_color, which colors the
-whole graph with Delta + 1 colors.
+Stage 1 visits the edges in one uniformly random order and samples a small
+random palette for each: first sampled color free at both ends, else a fan
+from the first missing at the far end, grown into a Vizing chain.  When a
+chain's path hits the length cap, the blank edge is shifted to a random point
+along the path and the attempt continues with a fresh, disjoint palette.
+Edges whose attempts fail are flagged.  Stage 2 greedy-colors the flagged
+subgraph with a disjoint block of colors.  A run fails when the flagged
+subgraph is too dense for the stage-2 budget.  run_full restarts failed runs
+and, when every attempt failed or epsilon*Delta/6 < 1, falls back to
+vizing_color, which colors the whole graph with Delta + 1 colors.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .state import BLANK, ColoringState, flagged_subgraph
 
 def _ceil(value: float) -> int:
     # ceil with a tiny slack so decimal parameters like 0.1 * 400 / 2 do not
-    # round 20.000000000000004 up to 21.
-    return math.ceil(value - 1e-9)
+    # round 20.000000000000004 up to 21; a positive value still rounds to >= 1.
+    return max(math.ceil(value - 1e-9), 1 if value > 0 else 0)
 
 
 _INT32_MAX = 2**31 - 1  # the range edge ids live in; caps ell and rounds
@@ -120,6 +120,7 @@ class FlagReason(enum.Enum):
     FAN_FAIL = "fan_fail"
     PIVOT_FAIL = "pivot_fail"
     MAX_ITERATIONS = "max_iterations"
+    PALETTE_FLOOR = "palette_floor"  # a later round's pool fell under palette_floor
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +188,7 @@ class RunStats:
 
     @property
     def flags_total(self) -> int:
-        return self.flags_fan + self.flags_pivot + self.flags_maxiter
+        return self.flags_fan + self.flags_pivot + self.flags_maxiter + self.palette_floor_hits
 
     @property
     def total_us(self) -> int:
@@ -226,21 +227,8 @@ def sample_palette(pool, kappa: int, rng) -> list[int]:
     return list(dict.fromkeys(pool[i] for i in idx))
 
 
-# Rows per pre-drawn round-1 palette block; part of the RNG stream.
-_SAMPLER_ROWS = 2048
-
-
-def _first_palettes(q1: int, kappa: int, rng):
-    """Round-1 palettes from [1, q1], drawn in (_SAMPLER_ROWS, kappa) blocks; rows as drawn.
-
-    Lazy, so the stream stays a pure function of (seed, call order).  Rows
-    may repeat a color; consumers take the first sampled color free at both
-    ends, else a fan from the first missing at the far end, in draw order,
-    so a repeat never wins.  That walked 6,422 path edges, a fan alone 79,302
-    and sorted rows 210,571 (random_regular n=4000, D=100, eps=0.5; README).
-    """
-    while True:
-        yield from rng.integers(1, q1 + 1, size=(_SAMPLER_ROWS, kappa), dtype=np.int32).tolist()
+# Round-1 colors drawn per refill of edge_color's draw list; part of the RNG stream.
+_DRAW_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +267,7 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
                 # Pool too depleted for the success guarantees; stop early.
                 state.flag(e)
                 stats.palette_floor_hits += 1
-                return False, t - 1, e, FlagReason.PIVOT_FAIL
+                return False, t - 1, e, FlagReason.PALETTE_FLOOR
             C = sample_palette(pool, kappa, rng)
             cset = set(C)
             assert cset.isdisjoint(sampled), "palettes within one call must be disjoint"
@@ -543,30 +531,35 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     ev = g.edge_v
 
     t0 = time.perf_counter_ns()
-    # Pre-drawn uniform picks: position in the shrinking pool U, and a coin
-    # for which endpoint becomes the pivot.  Machine-typed, so the per-edge
-    # scratch is 9 bytes and no int object; edge ids already fit in "i", as
-    # in the missing rows.
-    picks = array("i", rng.integers(0, np.arange(m, 0, -1)).astype(np.int32).tobytes())
+    # One uniformly random edge order and a coin per edge for which endpoint
+    # becomes the pivot.  Machine-typed, so the per-edge scratch is 5 bytes
+    # and no int object; edge ids already fit in "i", as in the missing rows.
+    order = array("i", rng.permutation(m).astype(np.int32).tobytes())
     coins = rng.integers(0, 2, size=m).astype(np.int8).tobytes()
-    pool = array("i", np.arange(m, dtype=np.int32).tobytes())
     path_counts = [0] * (min(ell, g.n - 1) + 1)  # a simple path has at most n - 1 edges
     iter_counts = [0] * (min(rounds, q1) + 1)  # each later round drops >= 1 of q1 colors
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     raw = _color_one_raw
-    next_palette = _first_palettes(q1, kappa, rng).__next__
+    # Round-1 colors: i.i.d. uniform draws from [1, q1], read in order from
+    # ``cur``.  An edge's sample is the kappa draws from there on, but first
+    # fit stops at the first color free at both ends, and the unread tail is
+    # still uniform, so the next edge starts right after the hit.  Refilled
+    # in blocks once fewer than kappa draws are left.
+    draws: list[int] = []
+    cur = 0
+    stop = -kappa  # refill when cur > stop = len(draws) - kappa
+    block = max(_DRAW_BLOCK, kappa)
     fast = 0  # edges first-fit below; added to the counters after the loop
-    for i in range(m):
-        pos = picks[i]
-        e = pool[pos]
-        last = pool.pop()
-        if pos < len(pool):
-            pool[pos] = last
+    for i, e in enumerate(order):
+        if cur > stop:
+            draws = draws[cur:] + rng.integers(1, q1 + 1, size=block).tolist()
+            cur = 0
+            stop = len(draws) - kappa
         u = eu[e]
         v = ev[e]
         mu = miss[u]
         mv = miss[v]
-        C = next_palette()
+        C = draws[cur : cur + kappa]
         # _color_one_raw's round-1 first fit, inlined: it is all most edges need.
         for c in C:
             if mu[c] < 0 and mv[c] < 0:
@@ -574,8 +567,11 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
                 mu[c] = e
                 mv[c] = e
                 fast += 1
+                # An earlier copy of c would have fit too, so this is the hit.
+                cur += C.index(c) + 1
                 break
         else:
+            cur += kappa
             colored, iters, fedge, reason = raw(
                 state, e, u if coins[i] else v, q1, kappa, ell, rounds, floor_q, C, rng,
                 path_counts, stats,
@@ -587,7 +583,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
                 stats.flags_fan += 1
             elif reason is FlagReason.PIVOT_FAIL:
                 stats.flags_pivot += 1
-            else:
+            elif reason is FlagReason.MAX_ITERATIONS:
                 stats.flags_maxiter += 1
             fu = eu[fedge]
             fv = ev[fedge]

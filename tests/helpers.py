@@ -18,6 +18,29 @@ def rng_for(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+class CountingRng:
+    """A numpy Generator that logs each call's method, leading arguments and
+    the number of values it returned."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.calls: list[tuple[str, tuple, int]] = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, args, int(np.size(out))))
+            return out
+
+        return counted
+
+    def drawn(self, name: str, *args) -> int:
+        """Values returned by calls of ``name`` whose arguments start with ``args``."""
+        return sum(k for n, a, k in self.calls if n == name and a[: len(args)] == args)
+
+
 def traced_memory(f, *args):
     """Run f(*args) under tracemalloc: (result, bytes it allocated and still
     holds, peak bytes during the call)."""

@@ -164,13 +164,13 @@ def test_restart_causes_and_fallback_on_stderr(tmp_path, capsys):
 
 
 def test_fallback_after_failed_attempts_on_stderr(tmp_path, capsys):
-    # eps*D/6 = 1, so the attempt is made; with seed 17 it fails and Vizing
+    # eps*D/6 = 1, so the attempt is made; with seed 255 it fails and Vizing
     # colors the graph.
     graph = tmp_path / "g.txt"
     run_cli("gen", "--model", "random_regular", "--n", "200", "--d", "12", "--seed", "1",
             "--out", str(graph))
     capsys.readouterr()
-    assert run_cli("color", "--input", str(graph), "--seed", "17", "--max-restarts", "0",
+    assert run_cli("color", "--input", str(graph), "--seed", "255", "--max-restarts", "0",
                    "--output", str(tmp_path / "c.txt")) == 0
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("restart: attempt 0: ")]) == 1
@@ -254,6 +254,17 @@ def test_color_overflowing_constant_is_clamped(tmp_path, capsys, flag, derived):
     capsys.readouterr()
     assert run_cli("verify", "--input", str(graph), "--coloring", coloring) == 0
     assert capsys.readouterr().out.startswith("OK: 780 edges")
+
+
+def test_color_tiny_epsilon_keeps_the_extra_color(tmp_path, capsys):
+    # eps*D = 2e-12 is positive, so the budget is ceil((1 + eps) * 2) = 3, not 2.
+    graph = tmp_path / "g.txt"
+    run_cli("gen", "--model", "complete", "--n", "3", "--out", str(graph))
+    capsys.readouterr()
+    assert run_cli("color", "--input", str(graph), "--epsilon", "1e-12",
+                   "--output", str(tmp_path / "c.txt"), "--stats", str(tmp_path / "s.txt")) == 0
+    assert "3 colors (budget 3," in capsys.readouterr().err
+    assert "\nq_cap=3\n" in (tmp_path / "s.txt").read_text()
 
 
 def test_color_negative_max_restarts_is_usage_error(tmp_path, capsys):

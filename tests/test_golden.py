@@ -25,16 +25,16 @@ CASES = {
     # eps*D/6 = 1: the only attempt fails, then Vizing colors with D+1.
     "fallback-after-attempt-d12": (
         GenSpec("random_regular", n=200, d=12, seed=1),
-        RunConfig(epsilon=0.5, seed=117, max_restarts=0),
-        "e43a50f0d82edb2134c579227b82e80001218e3e5f0db4e2276a7373f44aef47",
+        RunConfig(epsilon=0.5, seed=126, max_restarts=0),
+        "9b7393d34075184e3cb53e80ea9e8e4587ed0b8461bb1c6fca76756c6c856969",
         (0, True),
         False,
     ),
     # eps*D/6 = 1: attempt 0 fails, attempt 1 succeeds.
     "restart-d12": (
         GenSpec("random_regular", n=200, d=12, seed=1),
-        RunConfig(epsilon=0.5, seed=117),
-        "471003e026dc4e4f2e273682fe2713612aeb7ab30cfc5597f52e006fc4f21e23",
+        RunConfig(epsilon=0.5, seed=126),
+        "88a5468eeac9c1d196d7dea8c541782c17317cf41a5803a9128938578f66d3c9",
         (1, False),
         False,
     ),
@@ -42,7 +42,7 @@ CASES = {
     "inregime-d40": (
         GenSpec("random_regular", n=400, d=40, seed=2),
         RunConfig(epsilon=0.5, seed=2),
-        "64ad27902daef0ef0ef41de40f4946ae8d2ac2d0d6c77c5753338a549aec24d3",
+        "2652b84bb051b5428cadcb23217b922c69ae8616d4863ccabd4271d9a7024c58",
         (0, False),
         False,
     ),
@@ -50,24 +50,24 @@ CASES = {
     "shift-d60": (
         GenSpec("random_regular", n=400, d=60, seed=3),
         RunConfig(epsilon=0.2, ell_const=0.005, seed=3),
-        "8e0f3102611d83b78bd99172fad5746207a038c41675e755b63f4fce47c08e41",
+        "de97bffb8cee67133be2fd3ad8a3297dedc59a0f65c4076cfce05a9b30d46ba3",
         (0, False),
         True,
     ),
     # Shifting plus one restart (ell = 17): attempt 0 fails, attempt 1 succeeds.
     "shift-restart-d40": (
         GenSpec("random_regular", n=400, d=40, seed=3),
-        RunConfig(epsilon=0.2, ell_const=0.003, seed=7),
-        "c4662939455f36ea36fc8d0994ddbc5612bbedcdd9704c905b105e8ae8baffba",
+        RunConfig(epsilon=0.2, ell_const=0.003, seed=3),
+        "d03141618df249f991f27278b491ed7f31554fdc8bfd837bfdc1f49a29bcc192",
         (1, False),
         True,
     ),
     # A small palette sample leaves the pool above the floor after round 1, so
-    # shifted edges are colored in rounds 2 and 3; 354 flagged edges go to stage 2.
+    # shifted edges are colored in rounds 2 and 3; 334 flagged edges go to stage 2.
     "multiround-d60": (
         GenSpec("random_regular", n=200, d=60, seed=1),
         RunConfig(epsilon=0.9, kappa_const=1.0, ell_const=0.05, seed=3),
-        "6c749780293fcdaa52c8c42e2911ff447be4856c1ead224896ef3c2afd7ecca6",
+        "61df6735628e245a26b3f2f3dab0fead0142383fd9ea383fe50bc287d6204119",
         (0, False),
         True,
     ),
