@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, RejectionExhausted
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, first_occurrences
 
 MODELS = ("gnp", "random_regular", "complete", "complete_bipartite", "hypercube")
 
@@ -128,11 +128,7 @@ def random_regular(n: int, d: int, rng) -> Graph:
             hi = np.maximum(u, v)
             keys = lo * n + hi
             ok = lo != hi
-            # Keep only the first occurrence of each key within this round.
-            _, first_idx = np.unique(keys, return_index=True)
-            first = np.zeros(len(keys), dtype=bool)
-            first[first_idx] = True
-            ok &= first
+            ok &= first_occurrences(keys)  # a key repeated within this round keeps its first pair
             if len(accepted_keys):
                 # Later rounds hold few stubs: binary-search them in the
                 # accepted keys instead of re-sorting all of those.
@@ -141,7 +137,9 @@ def random_regular(n: int, d: int, rng) -> Graph:
             if ok.any():
                 accepted_u.append(np.stack([lo[ok], hi[ok]], axis=1))
                 new = np.sort(keys[ok])
-                accepted_keys = np.insert(accepted_keys, np.searchsorted(accepted_keys, new), new)
+                if len(accepted_keys):
+                    new = np.insert(accepted_keys, np.searchsorted(accepted_keys, new), new)
+                accepted_keys = new
                 stalls = 0
             else:
                 stalls += 1

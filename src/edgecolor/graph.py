@@ -45,41 +45,65 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, max_degree={self.max_degree})"
 
 
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Boolean mask that is True at the first occurrence of each key.
+
+    Distinct keys cost one plain sort.  Only when some key repeats are its
+    copies located and stably sorted to find which comes first.  The search
+    allocates nothing the size of the key range: a bitmap on the low key
+    bits, at least 8 slots per repeated key, lets few keys reach the binary
+    search.
+    """
+    first = np.ones(len(keys), dtype=bool)
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    del ordered
+    if len(repeated):
+        repeated = np.unique(repeated)
+        low = (8 << len(repeated).bit_length()) - 1
+        hit = np.zeros(low + 1, dtype=bool)
+        hit[repeated & low] = True
+        maybe = np.flatnonzero(hit[keys & low])
+        near = np.take(repeated, np.searchsorted(repeated, keys[maybe]), mode="clip")
+        copies = maybe[near == keys[maybe]]
+        first[copies] = False
+        first[copies[np.unique(keys[copies], return_index=True)[1]]] = True
+    return first
+
+
 def build_graph(edge_pairs, n) -> Graph:
     """Validate an edge list and build a Graph on vertices 0..n-1.
 
     Rejects self-loops, duplicate edges (in either orientation), and
     out-of-range endpoints with MalformedInput naming the first offending
-    edge in input order.
+    edge in input order.  Valid input costs one sort of the edge keys; which
+    fault an edge has is worked out only for the edge that is reported.
     """
     if n < 0:
         raise MalformedInput(f"vertex count must be non-negative, got {n}")
     try:
-        arr = np.asarray(edge_pairs, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
+        arr = np.asarray(edge_pairs)
+    except ValueError:
         raise MalformedInput("edge list must be pairs of integers") from None
     if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+        arr = np.empty((0, 2), dtype=np.int64)
+    if arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != 2:
         raise MalformedInput("edge list must be pairs of integers")
-    u = arr.min(axis=1)
-    v = arr.max(axis=1)
-    outside = (u < 0) | (v >= n)
-    loop = u == v
-    keys = u * n + v
-    duplicate = np.ones(len(keys), dtype=bool)
-    duplicate[np.unique(keys, return_index=True)[1]] = False  # keep first occurrences
-    bad = np.flatnonzero(outside | loop | duplicate)
-    if len(bad):
-        i = int(bad[0])
-        a, b = arr[i].tolist()
-        if outside[i]:
+    arr = arr.astype(np.int64, copy=False)
+    u = np.minimum(arr[:, 0], arr[:, 1])
+    v = np.maximum(arr[:, 0], arr[:, 1])
+    bad = ~first_occurrences(u * n + v)
+    bad |= (u < 0) | (v >= n) | (u == v)
+    if bad.any():
+        a, b = arr[bad.argmax()].tolist()  # the first True
+        if min(a, b) < 0 or max(a, b) >= n:
             raise MalformedInput(f"edge ({a}, {b}) has an endpoint outside [0, {n})")
-        if loop[i]:
+        if a == b:
             raise MalformedInput(f"self-loop at vertex {a}")
         raise MalformedInput(f"duplicate edge ({min(a, b)}, {max(a, b)})")
     # Gather from one shared int object per vertex: no int object per endpoint.
     ids = np.array(range(n), dtype=object)
     edge_u = ids[u].tolist()
     edge_v = ids[v].tolist()
-    return Graph(n, edge_u, edge_v, np.bincount(arr.ravel(), minlength=n).tolist())
+    degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    return Graph(n, edge_u, edge_v, degrees.tolist())

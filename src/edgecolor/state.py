@@ -149,8 +149,23 @@ def find_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:
     """
     c = np.asarray(colors, dtype=np.int64)
     e = np.flatnonzero(c > 0)
-    vertex = np.concatenate((np.asarray(g.edge_u, dtype=np.int64)[e],
-                             np.asarray(g.edge_v, dtype=np.int64)[e]))
+
+    def ends():
+        return np.concatenate((np.asarray(g.edge_u, dtype=np.int64)[e],
+                               np.asarray(g.edge_v, dtype=np.int64)[e]))
+
+    top = int(c.max(initial=0)) + 1
+    if g.n * top < 1 << 62:
+        # One int64 key per (vertex, color) row: a proper coloring costs one
+        # plain sort, and the rows are ordered below only when two keys meet.
+        key = ends()
+        key *= top
+        key.reshape(2, -1)[...] += c[e]
+        key.sort()
+        if not (key[1:] == key[:-1]).any():
+            return []
+        del key
+    vertex = ends()
     edge = np.concatenate((e, e))
     color = c[edge]
     order = np.lexsort((edge, color, vertex))

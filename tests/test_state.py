@@ -1,6 +1,7 @@
 import time
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -164,6 +165,20 @@ def test_find_conflicts_matches_per_vertex_scan(data, as_array):
     assert find_conflicts(g, array("i", colors) if as_array else colors) == (
         reference_conflicts(g, colors)
     )
+
+
+@pytest.mark.parametrize("top", [1 << 60, (1 << 60) - 1, 1 << 63],
+                         ids=["at-guard", "below-guard", "max-int64"])
+def test_find_conflicts_clash_around_the_packing_guard(top):
+    # On n=4 vertices, colors up to top - 1 are packed with the vertex into
+    # one int64 key only while n * top < 2**62; from the guard up the lexsort
+    # path runs alone.
+    g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2)], 4)
+    big = top - 1
+    for colors in ([big, big, 1, 2], [big, 1, big, big], [1, 2, 3, big], [2, big, big - 1, big],
+                   [big, big, big, big], [big, big - 1, 0, big]):
+        assert find_conflicts(g, colors) == reference_conflicts(g, colors), colors
+        assert find_conflicts(g, np.array(colors, dtype=np.int64)) == reference_conflicts(g, colors)
 
 
 def test_validate_detects_corrupted_table():
