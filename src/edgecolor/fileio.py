@@ -5,10 +5,21 @@ first-seen order; `#` starts a comment.  In coloring files, c = 0 marks an
 uncolored or flagged edge.
 
 Lines are what `str.splitlines` gives and tokens what `str.split` gives.
-The parsers check every line with one regex match and split the text in
-chunks, so the per-line and per-token work runs in C.  A text that fails
-the check is read line by line to name its first bad line, and so is a
-coloring that does not list the edges in edge-id order.
+Two readers give the same results and messages:
+
+* Integer texts, which are every file `edgecolor gen` and `edgecolor color`
+  write, are read by numpy.  A text qualifies when one regex match finds
+  only canonical decimal tokens (as `str(int)` writes them, at most 18
+  digits), spaces and tabs, LF or CRLF line ends and `#` comments.
+  Edge-list labels are ranked in a value-indexed table; a coloring is
+  matched to edge ids by comparing its label columns with the graph's, or,
+  for lines in any other order, by a binary search of the edge keys.
+* Any other text is checked with one regex match per reader and split in
+  chunks, so the per-line and per-token work runs in C.
+
+A text that fails its check is read line by line to name its first bad
+line, and so is a coloring that holds a duplicate, a missing or an unknown
+edge or a bad color, or whose non-integer lines are not in edge-id order.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from itertools import chain, count
 import numpy as np
 
 from .errors import MalformedInput
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, endpoint_views
 
 # The line boundaries of str.splitlines, as a character-class body; each is
 # also str.split whitespace.
@@ -42,6 +53,58 @@ def _lines_re(width: int) -> re.Pattern:
 
 _EDGE_LINES = _lines_re(2)
 _COLORING_LINES = _lines_re(3)
+
+# A canonical decimal int64 token: no '+', no leading zero, no '-0', and at
+# most 18 digits, so it fits.  One token reads as one value and back.
+_INT = r"(?:0|-?[1-9][0-9]{0,17}+)"
+
+
+def _int_lines_re(width: int) -> re.Pattern:
+    """A pattern that matches a whole text iff it is canonical integers
+    split by spaces and tabs, ``width`` per line (blank lines and `#`
+    comments allowed), with LF or CRLF line ends: the text numpy reads."""
+    line = rf"[ \t]*+(?:{_INT}(?:[ \t]++{_INT}){{{width - 1}}}[ \t]*+)?+(?:#[^{_EOL}]*+)?+"
+    return re.compile(rf"(?:{line}\r?\n)*+{line}")
+
+
+_INT_EDGE_LINES = _int_lines_re(2)
+_INT_COLORING_LINES = _int_lines_re(3)
+_INT_LABELS = re.compile(rf"(?:{_INT}(?: {_INT})*+)?+")
+
+
+def _ints(text: str) -> np.ndarray:
+    """The tokens, as one int64 array, of a text that an _int_lines_re
+    pattern matched, or of a piece of one cut just after a LF."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if text.isspace():
+        return np.empty(0, dtype=np.int64)  # np.fromstring reads a blank text as [0]
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
+def _ranked(vals: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
+    """Dense int32 ids in first-seen order for the int64 tokens ``vals``
+    (which this consumes), and the id -> label table.  None when their
+    values span too wide a range for a table indexed by value (at most 2
+    entries per token, plus 1024)."""
+    k = len(vals)
+    lo, hi = (int(vals.min()), int(vals.max())) if k else (0, -1)
+    span = hi - lo + 1
+    if span > 2 * k + 1024 or k >= 1 << 31:
+        return None
+    vals -= lo
+    first = np.full(span, k, dtype=np.intc)  # value -> position of its first token
+    np.minimum.at(first, vals, np.arange(k, dtype=np.intc))
+    firsts = np.sort(first[first < k])
+    del first
+    seen = vals[firsts]  # value - lo per id, in first-seen order
+    rank = np.empty(span, dtype=np.intc)
+    rank[seen] = np.arange(len(seen), dtype=np.intc)
+    ids = rank[vals]
+    del vals, rank
+    seen += lo
+    return ids, list(map(str, seen.tolist()))
+
 
 # Characters per str.split call.  Only one chunk's tokens are alive at
 # once, not the whole file's; small chunks also leave fewer half-used heap
@@ -74,6 +137,10 @@ def _data_lines(text: str):
 
 def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     """Parse edge-list text; returns the graph and the id -> label table."""
+    ranked = _ranked(_ints(text)) if _INT_EDGE_LINES.fullmatch(text) is not None else None
+    if ranked is not None:
+        ids, labels = ranked
+        return build_graph(ids.reshape(-1, 2), len(labels)), labels
     if _EDGE_LINES.fullmatch(text) is None:
         for lineno, parts in _data_lines(text):
             if len(parts) != 2:
@@ -178,18 +245,104 @@ def _colors_in_edge_order(text: str, g: Graph, labels: list[str]) -> list[int] |
     return colors
 
 
+def _label_values(labels: list[str]) -> np.ndarray | None:
+    """The labels as int64 values if each is a distinct canonical integer
+    token, so a token of an integer text names the vertex whose label has
+    its value; else None."""
+    try:
+        joined = " ".join(labels)
+    except TypeError:
+        return None
+    if _INT_LABELS.fullmatch(joined) is None:
+        return None
+    lab = np.fromstring(joined, dtype=np.int64, sep=" ")
+    ordered = np.sort(lab)
+    if len(lab) != len(labels) or (ordered[1:] == ordered[:-1]).any():
+        return None  # a label holds a space, or two labels are equal
+    return lab
+
+
+# Characters per np.fromstring call of _int_colors (~5k coloring lines), so
+# its peak is the text and the list of colors it returns.
+_INT_CHARS = 1 << 16
+
+
+def _int_colors(text: str, lab: np.ndarray, g: Graph) -> list[int] | None:
+    """The colors of an integer coloring text, given the label values
+    ``lab``; None unless its lines are the graph's edges, each once, with
+    colors >= 0.  A text in edge-id order is parsed and checked in pieces
+    of about _INT_CHARS characters; any other goes to _reordered_colors."""
+    if len(lab) != g.n:
+        return None
+    eu, ev = endpoint_views(g)
+    colors: list[int] = []
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + _INT_CHARS) + 1 or len(text)
+        rows = _ints(text[lo:hi]).reshape(-1, 3)
+        e = len(colors)
+        if not (np.array_equal(rows[:, 0], lab[eu[e:e + len(rows)]])
+                and np.array_equal(rows[:, 1], lab[ev[e:e + len(rows)]])):
+            break
+        if rows[:, 2].min(initial=0) < 0:
+            return None
+        colors.extend(rows[:, 2].tolist())
+        lo = hi
+    else:
+        return colors if len(colors) == g.m else None
+    del colors, rows
+    return _reordered_colors(_ints(text).reshape(-1, 3), lab, g)
+
+
+def _reordered_colors(rows: np.ndarray, lab: np.ndarray, g: Graph) -> list[int] | None:
+    """_int_colors for (k, 3) int64 ``rows`` in any line order and
+    orientation: labels and edges are found by binary search."""
+    m, n = g.m, g.n
+    if len(rows) != m:
+        return None
+    by_value = np.argsort(lab)
+    ends = np.searchsorted(lab[by_value], rows[:, :2])
+    np.minimum(ends, n - 1, out=ends)
+    if not np.array_equal(lab[by_value[ends]], rows[:, :2]):
+        return None  # an unknown label
+    ends = by_value[ends]
+    ends.sort(axis=1)
+    keys = ends[:, 0] * n + ends[:, 1]
+    del ends
+    eu, ev = endpoint_views(g)
+    edge_keys = np.multiply(eu, n, dtype=np.int64)
+    edge_keys += ev
+    by_key = np.argsort(edge_keys)
+    edge_keys = edge_keys[by_key]
+    at = np.searchsorted(edge_keys, keys)
+    np.minimum(at, m - 1, out=at)
+    if not np.array_equal(edge_keys[at], keys):
+        return None  # not an edge of the graph
+    colors = np.full(m, -1, dtype=np.int64)
+    colors[by_key[at]] = rows[:, 2]
+    if colors.min() < 0:
+        return None  # a negative color, or an edge listed twice and so another missing
+    return colors.tolist()
+
+
 def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
     """Read a coloring file back against a known graph.
 
     Labels must resolve through the graph's own table; every graph edge must
-    appear exactly once.  Returns colors indexed by edge id.  A file as
-    `edgecolor color` writes it is checked and read chunk by chunk; any
-    other is read line by line.
+    appear exactly once.  Returns colors indexed by edge id.  A file in
+    edge-id order is read chunk by chunk, by numpy if it is an integer
+    text; an integer text in any other order is matched to edge ids by
+    binary search; any other text is read line by line.
     """
-    if _COLORING_LINES.fullmatch(text) is not None:
+    lab = _label_values(labels) if _INT_COLORING_LINES.fullmatch(text) is not None else None
+    if lab is not None:
+        colors = _int_colors(text, lab, g)
+    elif _COLORING_LINES.fullmatch(text) is not None:
         colors = _colors_in_edge_order(text, g, labels)
-        if colors is not None:
-            return colors
+    else:
+        colors = None
+    if colors is not None:
+        return colors
     index = {lab: i for i, lab in enumerate(labels)}
     n = g.n
     edge_id = {u * n + v: e for e, (u, v) in enumerate(zip(g.edge_u, g.edge_v))}  # u < v

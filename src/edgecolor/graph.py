@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .errors import MalformedInput
@@ -17,8 +19,10 @@ class Graph:
 
     Attributes:
         n: vertex count.
-        edge_u / edge_v: flat endpoint lists with edge_u[e] < edge_v[e],
-            indexed by edge id; the graph's only per-edge storage.
+        edge_u / edge_v: endpoint arrays (``array("i")``, 4 B per entry)
+            with edge_u[e] < edge_v[e], indexed by edge id; the graph's only
+            per-edge storage.  Python code indexes them like lists, and
+            numpy reads them without a copy through ``endpoint_views``.
         degrees: per-vertex degree.
         max_degree: maximum degree over all vertices (0 for edgeless graphs).
     """
@@ -43,6 +47,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, max_degree={self.max_degree})"
+
+
+def endpoint_views(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``edge_u`` and ``edge_v`` as read-only int32 numpy views: no copy."""
+    eu = np.frombuffer(g.edge_u, dtype=np.intc)
+    ev = np.frombuffer(g.edge_v, dtype=np.intc)
+    eu.flags.writeable = ev.flags.writeable = False
+    return eu, ev
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:
@@ -81,6 +93,8 @@ def build_graph(edge_pairs, n) -> Graph:
     """
     if n < 0:
         raise MalformedInput(f"vertex count must be non-negative, got {n}")
+    if n > 1 << 31:
+        raise MalformedInput(f"vertex count must be at most 2**31 (ids are int32), got {n}")
     try:
         arr = np.asarray(edge_pairs)
     except ValueError:
@@ -89,9 +103,9 @@ def build_graph(edge_pairs, n) -> Graph:
         arr = np.empty((0, 2), dtype=np.int64)
     if arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != 2:
         raise MalformedInput("edge list must be pairs of integers")
-    arr = arr.astype(np.int64, copy=False)
-    u = np.minimum(arr[:, 0], arr[:, 1])
-    v = np.maximum(arr[:, 0], arr[:, 1])
+    # The ufuncs cast to int64 as they read: no int64 copy of the input.
+    u = np.minimum(arr[:, 0], arr[:, 1], dtype=np.int64)
+    v = np.maximum(arr[:, 0], arr[:, 1], dtype=np.int64)
     bad = ~first_occurrences(u * n + v)
     bad |= (u < 0) | (v >= n) | (u == v)
     if bad.any():
@@ -101,9 +115,14 @@ def build_graph(edge_pairs, n) -> Graph:
         if a == b:
             raise MalformedInput(f"self-loop at vertex {a}")
         raise MalformedInput(f"duplicate edge ({min(a, b)}, {max(a, b)})")
-    # Gather from one shared int object per vertex: no int object per endpoint.
-    ids = np.array(range(n), dtype=object)
-    edge_u = ids[u].tolist()
-    edge_v = ids[v].tolist()
+    del arr, bad
     degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    return Graph(n, edge_u, edge_v, degrees.tolist())
+    return Graph(n, _int_array(u), _int_array(v), degrees.tolist())
+
+
+def _int_array(values: np.ndarray) -> array:
+    """An ``array("i")`` holding ``values``, written through a numpy view of
+    it, so no converted temporary is made."""
+    out = array("i", [0]) * len(values)
+    np.frombuffer(out, dtype=np.intc)[:] = values
+    return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlreadyColored, ImproperAssignment, NotColored
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, endpoint_views
 
 BLANK = 0
 FLAGGED = -1
@@ -149,10 +149,10 @@ def find_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:
     """
     c = np.asarray(colors, dtype=np.int64)
     e = np.flatnonzero(c > 0)
+    eu, ev = endpoint_views(g)
 
     def ends():
-        return np.concatenate((np.asarray(g.edge_u, dtype=np.int64)[e],
-                               np.asarray(g.edge_v, dtype=np.int64)[e]))
+        return np.concatenate((eu[e], ev[e]), dtype=np.int64)
 
     top = int(c.max(initial=0)) + 1
     if g.n * top < 1 << 62:
@@ -204,8 +204,8 @@ def validate_proper(state: ColoringState, graph: Graph | None = None) -> Validat
     # The edge-id table the slots imply: lowest-id edge per (vertex, color <= q).
     colored = np.flatnonzero((slot > 0) & (slot <= q))
     expected = np.full((g.n, q + 1), len(slot), dtype=np.int64)
-    for ends in (g.edge_u, g.edge_v):
-        at = np.asarray(ends, dtype=np.int64)[colored]
+    for ends in endpoint_views(g):
+        at = ends[colored]
         np.minimum.at(expected, (at, slot[colored]), colored)
     expected[expected == len(slot)] = NO_EDGE
     table = np.frombuffer(b"".join(state.missing), dtype=np.intc).reshape(g.n, q + 1)
@@ -234,5 +234,6 @@ def flagged_subgraph(state: ColoringState, graph: Graph | None = None) -> tuple[
     """The subgraph induced by flagged edges, on the same vertex set, plus its max degree."""
     g = graph if graph is not None else state.graph
     ids = state.flagged_edges()
-    sub = build_graph(np.array((g.edge_u, g.edge_v), dtype=np.int64)[:, ids].T, g.n)
+    eu, ev = endpoint_views(g)
+    sub = build_graph(np.stack((eu[ids], ev[ids]), axis=1), g.n)
     return sub, sub.max_degree

@@ -99,11 +99,17 @@ def test_edge_list_format_uses_labels():
     assert format_edge_list(g, labels) == "alpha beta\nbeta gamma\n"
 
 
+# Integer-looking tokens at the edges of the numpy reader's canonical form:
+# a sign on 0, leading zeros, '+', 18 and 19 digits, 20 digits (past
+# int64), a non-ASCII digit and an underscore.
+_INT_LIKE = ["0", "7", "-7", "007", "-0", "+7", "1" + "0" * 17, "-" + "9" * 18, "1" + "0" * 18,
+             "9" * 19, "9" * 20, "\u0663", "1_0"]
+
 # Tokens a hand-edited or damaged file might hold: labels, signed and
 # non-ASCII digits, an integer past the str -> int digit limit, and any text.
 _TOKENS = st.one_of(
     st.sampled_from(["a", "b", "c", "0", "1", "2", "-1", "+3", "1_0", "1e3", "\u0663", "9" * 5000,
-                     "a#b"]),
+                     "a#b"] + _INT_LIKE),
     st.text(max_size=4),
 )
 _SEPARATORS = st.sampled_from([" ", "\t", "\n", "\r\n", "\r", "#", " # ", "\x0b", "\x1c", "\x1f",
@@ -151,8 +157,12 @@ def labelled_colorings(draw):
     n = draw(st.integers(min_value=2, max_value=10))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pairs = draw(st.lists(st.sampled_from(possible), unique=True, max_size=len(possible)))
-    labels = draw(st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6),
-                           min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):  # integer labels, as `edgecolor gen` writes them: the numpy reader
+        labels = draw(st.lists(st.integers(-(10 ** 18) + 1, 10 ** 19).map(str) | st.sampled_from(_INT_LIKE),
+                               min_size=n, max_size=n, unique=True))
+    else:
+        labels = draw(st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6),
+                               min_size=n, max_size=n, unique=True))
     colors = draw(st.lists(st.integers(min_value=-1, max_value=(1 << 63) - 1),
                            min_size=len(pairs), max_size=len(pairs)))
     return build_graph(pairs, n), labels, colors
@@ -227,10 +237,11 @@ def assert_coloring_matches_reference(text, g, labels):
 
 @contextmanager
 def split_chars(chars):
-    """Run with fileio._SPLIT_CHARS set to ``chars``, so small texts span
-    several chunks."""
+    """Run with fileio._SPLIT_CHARS and fileio._INT_CHARS set to ``chars``,
+    so small texts span several chunks."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileio, "_SPLIT_CHARS", chars)
+        mp.setattr(fileio, "_INT_CHARS", chars)
         yield
 
 
@@ -257,7 +268,32 @@ def lined_texts(draw, width):
     return "".join(out)
 
 
-@given(st.one_of(token_texts(), lined_texts(2)), st.sampled_from([1, 5, fileio._SPLIT_CHARS]))
+@st.composite
+def int_texts(draw, width):
+    """Lines of ``width`` integer tokens split by blanks and ended by LF or
+    CRLF, some blank or commented: text the numpy reader takes.  Every
+    other text also holds, at random places, tokens, blanks and line ends
+    that the numpy reader must leave to the other one."""
+    odd = draw(st.booleans())
+
+    def pick(plain, other):
+        return draw(st.sampled_from(plain * 4 + other if odd else plain))
+
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = pick([width] * 4 + [0], [1, width + 1])
+        line = pick([" ", "\t"], ["  ", "\x0b", "\xa0"]).join(
+            pick(["0", "1", "2", "5", "-4", "12"], _INT_LIKE) for _ in range(k))
+        if draw(st.integers(0, 4)) == 0:
+            line = pick([" ", "\t"], ["\x0c", "\u3000"]) + line + pick([" ", "\t"], ["\x1f"])
+        if draw(st.integers(0, 8)) == 0:
+            line += pick(["#", "# note", " #1 2 3"], ["#\x85", "#\r"])
+        out.append(line + pick(["\n", "\r\n"], ["\r", "\x0c", "\x85", "\u2028"]))
+    return "".join(out)
+
+
+@given(st.one_of(token_texts(), lined_texts(2), int_texts(2)),
+       st.sampled_from([1, 5, fileio._SPLIT_CHARS]))
 @settings(max_examples=400, deadline=None)
 def test_parse_edge_list_matches_reference(text, chars):
     with split_chars(chars):
@@ -271,6 +307,37 @@ _TRIANGLE_PLUS = "a b\nb c\nc a\n0 1\n"  # edge order: a b, b c, a c, 0 1
 @settings(max_examples=300, deadline=None)
 def test_parse_coloring_matches_reference_on_any_text(text, chars):
     g, labels = parse_edge_list(_TRIANGLE_PLUS)
+    with split_chars(chars):
+        assert_coloring_matches_reference(text, g, labels)
+
+
+_INT_GRAPH = "0 1\n1 2\n2 0\n5 1\n-4 12\n"  # edge order: 0 1, 1 2, 0 2, 1 5, -4 12
+
+
+@st.composite
+def int_colorings(draw):
+    """_INT_GRAPH's edges in any order and orientation with a color each,
+    at times with a line dropped, repeated or replaced by one of int_texts."""
+    lines = []
+    for u, v in draw(st.permutations([("0", "1"), ("1", "2"), ("0", "2"), ("1", "5"), ("-4", "12")])):
+        if draw(st.booleans()):
+            u, v = v, u
+        lines.append(f"{u} {v} {draw(st.sampled_from(['0', '1', '3', '1' * 18] * 4 + _INT_LIKE))}")
+    i = draw(st.integers(0, 4))
+    edit = draw(st.sampled_from(["none"] * 4 + ["drop", "repeat", "replace"]))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "repeat":
+        lines.append(lines[i])
+    elif edit == "replace":
+        lines[i] = draw(int_texts(3))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@given(st.one_of(int_texts(3), int_colorings()), st.sampled_from([1, 5, fileio._INT_CHARS]))
+@settings(max_examples=300, deadline=None)
+def test_parse_integer_coloring_matches_reference(text, chars):
+    g, labels = parse_edge_list(_INT_GRAPH)
     with split_chars(chars):
         assert_coloring_matches_reference(text, g, labels)
 
@@ -355,11 +422,85 @@ def test_coloring_with_repeated_labels_matches_reference():
         assert_coloring_matches_reference(text, g, labels)
 
 
+def int_path_reads(text, width):
+    """Whether the numpy reader takes ``text`` (the others are read as labels)."""
+    lines = fileio._INT_EDGE_LINES if width == 2 else fileio._INT_COLORING_LINES
+    return lines.fullmatch(text) is not None
+
+
+@pytest.mark.parametrize("text, numpy_reads", [
+    ("", True), (" ", True), (" # ", True), ("# only\n# comments\n", True), ("\n\r\n", True),
+    ("1 2\n2 3 # note\r\n", True), ("-7 0\n0 1000000000000000000", False),
+    ("+5 1", False), ("1 " + "9" * 20, False), ("1 " + "9" * 19, False), ("007 7", False),
+    ("-0 0", False), ("1\x0c2", False), ("1 2\x0c3 4", False), ("1 2\x853 4", False),
+    ("1 2\u20283 4", False), ("1 2\r3 4", False), ("1 2\r", False), ("1\x0b2", False),
+    ("1 2#\x853 4", False), ("1 2\n2 1\n", True), ("3 3", True), ("1 2 3", False),
+    ("0 1000000", True),  # too wide a value range: read as labels after the check
+])
+def test_edge_list_edge_cases_match_reference(text, numpy_reads):
+    # np.fromstring reads a blank text as [0], saturates a 20-digit token and
+    # accepts '+5'; such texts must still read as the line-by-line reference.
+    assert int_path_reads(text, 2) == numpy_reads
+    assert_edge_list_matches_reference(text)
+
+
+_INT_COLORING = "0 1 1\n1 2 2\n0 2 3\n1 5 4\n-4 12 1\n"  # _INT_GRAPH's edges, in order
+
+
+@pytest.mark.parametrize("text", [
+    _INT_COLORING, "", " ", " # ", "# only\n",
+    "12 -4 1\n5 1 4\n0 1 1\n2 0 3\n1 2 2\n",  # reordered, endpoints swapped
+    _INT_COLORING.replace("1 5 4", "1 5 +4"), _INT_COLORING.replace("1 5 4", "1 5 " + "9" * 20),
+    _INT_COLORING.replace("1 5 4", "1 5 -4"), _INT_COLORING.replace("1 5 4", "1 5 -0"),
+    _INT_COLORING.replace("1 5 4", "1 5 " + "9" * 18), _INT_COLORING.replace("1 5 4", "1 7 4"),
+    _INT_COLORING.replace("1 5 4", "5 5 4"), _INT_COLORING.replace("1 5 4", "0 1 4"),
+    _INT_COLORING.replace("1 5 4", "1 4 4"),  # 4 is no label; 5 is the next one
+    _INT_COLORING.replace("1 2 2", "0 5 2"),  # no edge; 1 2 has the next edge key
+    _INT_COLORING.replace("1 5 4\n", ""), _INT_COLORING + "1 5 4\n",
+    _INT_COLORING.replace("\n", "\r\n"), _INT_COLORING.replace("\n", "\r"),
+    _INT_COLORING.replace("\n", "\x0c"), _INT_COLORING.replace("\n", "\x85"),
+    _INT_COLORING.replace("\n", "\u2028"), _INT_COLORING.replace("\n", " # note\n"),
+])
+def test_integer_coloring_edge_cases_match_reference(text):
+    g, labels = parse_edge_list(_INT_GRAPH)
+    assert_coloring_matches_reference(text, g, labels)
+
+
+@pytest.mark.parametrize("labels", [
+    ["0", "1", "2", "5", "-4", "12"],
+    ["0", "1", "2", "005", "-4", "12"], ["0", "1", "2", "+5", "-4", "12"],
+    ["0", "1", "2", "5", "-0", "12"], ["0", "1", "1", "5", "-4", "12"],
+    ["0", "1", "2", "5 5", "-4", "12"], ["0", "1", "2", "", "-4", "12"],
+    ["0", "1", "2", "5", "-4"], ["0", "1", "2", "5", "-4", "12", "13"], ["0", "1", "2", "5 -4", "12"],
+    [0, 1, 2, 5, -4, 12],
+])
+def test_integer_coloring_with_any_label_table_matches_reference(labels):
+    # A non-canonical, repeated or blank label, or a table of the wrong
+    # length, must not let a token name a vertex the reference would not.
+    g, _ = parse_edge_list(_INT_GRAPH)
+    for text in (_INT_COLORING, _INT_COLORING.replace("1 5 4", "1 005 4"),
+                 "12 -4 1\n5 1 4\n0 1 1\n2 0 3\n1 2 2\n"):
+        assert_coloring_matches_reference(text, g, labels)
+    if len(labels) == g.n:
+        assert_coloring_matches_reference(format_coloring(g, [1, 2, 3, 4, 5], labels), g, labels)
+
+
+@pytest.mark.parametrize("text", ["0 1000000", "0 100000000000000000",
+                                  "-100000000000000000 100000000000000000\n5 -5\n"])
+def test_wide_label_values_get_no_value_table(text):
+    # The value-indexed table would be 4 B per value in the range; such a
+    # text is read as labels instead.
+    (g, labels), _, peak = traced_memory(parse_edge_list, text)
+    assert labels == text.split() and peak < 1 << 16
+
+
 def test_parsers_peak_memory():
     # m = 50k.  A file in edge order is read with no m-entry edge dict: ~15
     # B/edge here, against ~200 for the line loop.  parse_edge_list peaks no
-    # higher than the line-by-line reference (113 against 131 B/edge here).
-    # Lines ended by \r alone are split in chunks too, not all at once.
+    # higher than the line-by-line reference (57 and 79 against 114 B/edge
+    # here).  Lines ended by \r alone are split in chunks too, not all at
+    # once.  An integer file in any other line order is matched to edge ids
+    # by a binary search, with no m-entry dict either: 76 B/edge.
     rng = rng_for(3)
     text = format_edge_list(random_regular(12500, 8, rng))
     g, labels = parse_edge_list(text)
@@ -370,3 +511,6 @@ def test_parsers_peak_memory():
         assert traced_memory(parse_coloring, colors, g, labels)[2] < 50 * g.m, repr(eol)
         assert traced_memory(parse_edge_list, edges)[2] <= 1.05 * traced_memory(
             reference_parse_edge_list, edges)[2], repr(eol)
+    swapped = "".join(f"{v} {u} {c}\n" for u, v, c in map(str.split, coloring.splitlines()))
+    colors, _, peak = traced_memory(parse_coloring, swapped, g, labels)
+    assert colors == parse_coloring(coloring, g, labels) and peak < 100 * g.m

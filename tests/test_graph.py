@@ -91,6 +91,11 @@ def test_integer_arrays_of_any_width_are_accepted():
         assert g.edges == [(0, 2), (1, 2)], dtype
 
 
+def test_vertex_ids_must_fit_in_int32():
+    with pytest.raises(MalformedInput, match="at most 2\\*\\*31"):
+        build_graph([], (1 << 31) + 1)
+
+
 def test_empty_graph():
     g = build_graph([], 5)
     assert g.max_degree == 0
@@ -104,26 +109,27 @@ def test_flat_endpoint_arrays_match_edges():
 
 
 def test_graph_retains_only_the_endpoint_lists():
-    # Two pointer lists are 16 B/edge; the per-vertex degrees and int objects
-    # add ~4.4 B/edge at n=2000, d=20.  A tuple per edge would add 64 more.
+    # Two int32 arrays are 8 B/edge; the per-vertex degree list adds ~0.8
+    # B/edge at n=2000, d=20.  A tuple per edge would add 64 more.
     ref = random_regular(2000, 20, np.random.default_rng(3))
     pairs = np.array((ref.edge_u, ref.edge_v)).T
     g, retained, _ = traced_memory(build_graph, pairs, ref.n)
     assert g.m == 20_000
-    assert retained / g.m <= 32, retained / g.m
+    assert retained / g.m <= 12, retained / g.m
 
 
 def test_dense_scale_peaks_per_edge():
     # m=200k.  Peaks were 137, 68 and 128 B/edge while duplicates were found
     # by np.unique(return_index=True), random_regular's first round inserted
     # its keys into an empty array, and every coloring's rows were ordered by
-    # a 3-key lexsort; now they are 98, 42 and 48.  An int64 copy of the
-    # pairs inside build_graph would add 16 to the second.
+    # a 3-key lexsort; they were 98, 42 and 48 with list endpoints, and are
+    # 96, 34 and 40 with int32 ones.  An int64 copy of the pairs inside
+    # build_graph would add 16 to the second.
     g, _, peak = traced_memory(random_regular, 4000, 100, np.random.default_rng(5))
     assert peak / g.m <= 110, peak / g.m
     pairs = np.array((g.edge_u, g.edge_v)).T
     peak = traced_memory(build_graph, pairs, g.n)[2]
-    assert peak / g.m <= 48, peak / g.m
+    assert peak / g.m <= 40, peak / g.m
     peak = traced_memory(find_conflicts, g, list(range(1, g.m + 1)))[2]  # proper: all distinct
     assert peak / g.m <= 64, peak / g.m
 
