@@ -4,6 +4,8 @@ The module exposes two layers over the same logic:
 
 * ``_*_core`` functions operate on plain lists and are shared with the
   high-throughput coloring engine (one implementation, no divergence);
+  ``_augment_core`` is the one augment, for the engine's happy fans, full
+  chains and shifts alike and for ``augment()``;
 * the public wrappers validate inputs and wrap results in small value types.
 
 All mutating operations (flip, shift, augment) write through the state's
@@ -194,8 +196,6 @@ def _follow_core(miss, eu, ev, x, alpha, beta, cap):
 def _flip_core(state, pv, pe, alpha, beta):
     """Swap alpha and beta along path edges pe (pv holds the vertex sequence)."""
     ne = len(pe)
-    if ne == 0:
-        return
     slot = state.slot
     miss = state.missing
     for i in range(ne):
@@ -229,8 +229,6 @@ def _shift_core(state, pivot, leaves, leaf_eids):
     miss = state.missing
     if slot[leaf_eids[0]] != BLANK:
         raise ImproperShift(f"fan start edge {leaf_eids[0]} is not blank")
-    if k == 1:
-        return
     mp = miss[pivot]
     old = []
     for i in range(1, k):
@@ -256,30 +254,26 @@ def _shift_core(state, pivot, leaves, leaf_eids):
 
 
 def _augment_core(state, pivot, leaves, leaf_eids, alpha, beta, j, pv, pe):
-    """Flip the path, shift the right fan prefix, and color the freed edge alpha.
+    """Flip the path, rotate the fan prefix leaves[:j], and color its last edge alpha.
 
-    Returns the id of the chain's start edge (the edge that left the blank set).
+    It serves a happy fan (j == len(leaves), pe empty), a full chain, and a
+    shift: the path prefix before the cut edge, where pe may be empty with
+    j < len(leaves).  Returns the id of the chain's start edge (the edge
+    that left the blank set).
     """
-    s = len(pe)
     try:
-        if s == 0:
-            _shift_core(state, pivot, leaves, leaf_eids)
-            state.assign(leaf_eids[-1], alpha)
-        else:
-            k = len(leaves)
-            if not 1 <= j < k or leaves[j] != pv[1]:
+        if pe:
+            if not 0 < j < len(leaves) or leaves[j] != pv[1]:
                 raise ImproperAugment(
                     f"chain is inconsistent: leaf index {j} does not match the path"
                 )
             _flip_core(state, pv, pe, alpha, beta)
             if pv[-1] == leaves[j - 1]:
-                # The path ends at the truncated fan's last leaf: shifting only
+                # The path ends at the truncated fan's last leaf: rotating only
                 # the prefix would collide, so rotate the whole fan instead.
-                _shift_core(state, pivot, leaves, leaf_eids)
-                state.assign(leaf_eids[-1], alpha)
-            else:
-                _shift_core(state, pivot, leaves[:j], leaf_eids[:j])
-                state.assign(leaf_eids[j - 1], alpha)
+                j = len(leaves)
+        _shift_core(state, pivot, leaves[:j], leaf_eids[:j])
+        state.assign(leaf_eids[j - 1], alpha)
     except (ImproperFlip, ImproperShift, ImproperAssignment, AlreadyColored) as exc:
         raise ImproperAugment(str(exc)) from exc
     return leaf_eids[0]
@@ -389,14 +383,8 @@ def augment(state: ColoringState, chain: VizingChain) -> int:
     """
     if chain.path.truncated:
         raise ImproperAugment("cannot augment a truncated chain directly")
+    fan, path = chain.fan, chain.path
     return _augment_core(
-        state,
-        chain.fan.pivot,
-        list(chain.fan.leaves),
-        list(chain.fan.edge_ids),
-        chain.color,
-        chain.path.beta,
-        chain.leaf_index,
-        list(chain.path.vertices),
-        list(chain.path.edge_ids),
+        state, fan.pivot, fan.leaves, fan.edge_ids, chain.color, path.beta,
+        chain.leaf_index, path.vertices, path.edge_ids,
     )

@@ -22,17 +22,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chains import _augment_core, _flip_core, _follow_core, _make_fan_core, _shift_core
-from .errors import (
-    AlreadyColored,
-    ColoringFailed,
-    EmptyPool,
-    ImproperAssignment,
-    ImproperAugment,
-    ImproperFlip,
-    ImproperShift,
-    InsufficientColors,
-)
+from .chains import _augment_core, _follow_core, _make_fan_core
+from .errors import AlreadyColored, ColoringFailed, EmptyPool, ImproperAugment, InsufficientColors
 from .graph import Graph
 from .state import BLANK, ColoringState, flagged_subgraph
 
@@ -139,7 +130,10 @@ class RunStats:
 
     Totals are consistent by construction: colored_stage1 + flagged_count
     equals m after stage 1, and every flagged edge is colored in stage 2
-    (or the run fails).  Fields are declared in ``to_text`` order.
+    (or the run fails).  Each flag is counted by its reason where it is
+    set, so flags_total equals flagged_count after stage 1, and the number
+    of edges flagged after color_one calls.  Fields are declared in
+    ``to_text`` order.
     """
 
     n: int = 0
@@ -239,13 +233,16 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
     """Try to color blank edge e, shifting it along capped chains as needed.
 
     ``first_C`` is the round-1 palette sample (duplicates allowed); later
-    rounds sample their own disjoint palettes.  Each round takes the first
-    sampled color free at both ends, else a fan from the first missing at
-    the far end; every color choice scans the sample in draw order.
-    ``path_counts`` is a length histogram indexed by path length.  Returns
-    (colored, iterations, flagged_edge, reason), reason a FlagReason or None
-    when colored.  Exactly one of two postconditions holds: e joined the
-    colored set and nothing was flagged, or one edge (possibly a shifted
+    rounds sample their own disjoint palettes.  Each round scans its sample
+    in draw order and ends in one outcome: first fit (a color free at both
+    ends); a happy fan or a path shorter than ``ell``, augmented; a shift,
+    which cuts a random edge of the capped path, augments the path prefix
+    before it and moves on to the cut edge; or a flag, counted in ``stats``
+    by its reason where it is set, so every caller's stats count it.
+    ``path_counts`` is a length histogram indexed by path length.
+    Returns (colored, iterations, flagged_edge, reason), reason a FlagReason
+    or None when colored.  Exactly one of two postconditions holds: e joined
+    the colored set and nothing was flagged, or one edge (possibly a shifted
     descendant of e) moved from colored-or-e to flagged and everything else
     is unchanged.
     """
@@ -275,7 +272,8 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
             pool = [c for c in pool if c not in cset]
 
         # First fit (the trivial Vizing chain), else eta, the first sampled
-        # color missing at the far endpoint, starts the fan.
+        # color missing at the far endpoint, starts the fan; with no eta the
+        # fan fails at its first frontier.
         y = eu[e] + ev[e] - x
         my = miss[y]
         mx = miss[x]
@@ -291,25 +289,17 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
                     return True, t, -1, None
                 if not eta:
                     eta = c
-        if not eta:
-            state.flag(e)
-            return False, t, e, FlagReason.FAN_FAIL
-
         fan = _make_fan_core(miss, eu, ev, e, x, C, first_eta=eta)
         if fan is None:
             state.flag(e)
+            stats.flags_fan += 1
             return False, t, e, FlagReason.FAN_FAIL
         leaves, leaf_eids, alpha, j = fan
-        k = len(leaves)
 
-        if j == k:
-            # Happy fan: alpha is missing at the pivot, shift and color.
+        if j == len(leaves):
+            # Happy fan: alpha is missing at the pivot, rotate and color.
             path_counts[0] += 1
-            try:
-                _shift_core(state, x, leaves, leaf_eids)
-                state.assign(leaf_eids[-1], alpha)
-            except (ImproperShift, ImproperAssignment, AlreadyColored) as exc:
-                raise ImproperAugment(str(exc)) from exc
+            _augment_core(state, x, leaves, leaf_eids, alpha, None, j, (x,), ())
             return True, t, -1, None
 
         for beta in C:
@@ -317,33 +307,29 @@ def _color_one_raw(state, e, x, q1, kappa, ell, rounds, floor_q, first_C, rng, p
                 break
         else:
             state.flag(e)
+            stats.flags_pivot += 1
             return False, t, e, FlagReason.PIVOT_FAIL
 
         pv, pe, _trunc = _follow_core(miss, eu, ev, x, alpha, beta, ell)
         s = len(pe)
         path_counts[s] += 1
-        assert pv[1] == leaves[j]
 
         if s < ell:
             _augment_core(state, x, leaves, leaf_eids, alpha, beta, j, pv, pe)
             return True, t, -1, None
 
         # Path hit the cap: uncolor a uniformly random path edge, augment the
-        # initial segment, and continue from the moved blank edge with the
-        # next (disjoint) palette.
+        # path prefix before it, and continue from the moved blank edge with
+        # the next (disjoint) palette.
         lp = int(rng.integers(1, ell + 1))
         cut = pe[lp - 1]
         state.unassign(cut)
-        try:
-            _flip_core(state, pv[:lp], pe[: lp - 1], alpha, beta)
-            _shift_core(state, x, leaves[:j], leaf_eids[:j])
-            state.assign(leaf_eids[j - 1], alpha)
-        except (ImproperFlip, ImproperShift, ImproperAssignment, AlreadyColored) as exc:
-            raise ImproperAugment(str(exc)) from exc
+        _augment_core(state, x, leaves, leaf_eids, alpha, beta, j, pv[:lp], pe[: lp - 1])
         stats.shift_count += 1
         e = cut
         x = pv[lp - 1]
     state.flag(e)
+    stats.flags_maxiter += 1
     return False, rounds, e, FlagReason.MAX_ITERATIONS
 
 
@@ -572,19 +558,13 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
                 break
         else:
             cur += kappa
-            colored, iters, fedge, reason = raw(
+            colored, iters, fedge, _ = raw(
                 state, e, u if coins[i] else v, q1, kappa, ell, rounds, floor_q, C, rng,
                 path_counts, stats,
             )
             iter_counts[iters] += 1
             if colored:
                 continue
-            if reason is FlagReason.FAN_FAIL:
-                stats.flags_fan += 1
-            elif reason is FlagReason.PIVOT_FAIL:
-                stats.flags_pivot += 1
-            elif reason is FlagReason.MAX_ITERATIONS:
-                stats.flags_maxiter += 1
             fu = eu[fedge]
             fv = ev[fedge]
             flag_degree[fu] += 1

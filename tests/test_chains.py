@@ -17,6 +17,7 @@ from edgecolor import (
     validate_proper,
     vizing_chain,
 )
+from edgecolor.chains import _augment_core
 from edgecolor.state import BLANK
 
 from helpers import dom_and_flg, random_graph, random_partial_state, rng_for
@@ -386,6 +387,29 @@ def test_augment_rejects_truncated_chain():
     path = AltPath(1, 2, (0, 1, 2), (0, 1), True)
     with pytest.raises(ImproperAugment):
         augment(st, VizingChainStub(fan, path, 1, 1))
+
+
+def test_augment_core_cut_prefix_without_path_edges():
+    # The shift that cuts a capped path's first edge: pe is empty and
+    # 1 <= j < len(leaves).  x=0, y0=1, y1=2, y2=3, y3=4; (x,y1)=1, (x,y2)=2,
+    # (x,y3)=3, (y2,5)=1, (y3,6)=1; blank (x,y0).  The fan closes on y2 with
+    # alpha 2 (j=2), and the path from x starts at the alpha edge (x,y2).
+    g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)], 7)
+    st = ColoringState(g, 4)
+    for e, c in ((1, 1), (2, 2), (3, 3), (4, 1), (5, 1)):
+        st.assign(e, c)
+    out = make_fan(st, 0, 0, [1, 2, 3, 4])
+    assert (out.fan.leaves, out.color, out.index) == ((1, 2, 3, 4), 2, 2)
+    path = follow_path(st, 0, 2, 4, cap=10)
+    assert path.edge_ids == (2,)
+    st.unassign(2)
+    colored = _augment_core(st, 0, out.fan.leaves, out.fan.edge_ids, 2, 4, 2,
+                            path.vertices[:1], path.edge_ids[:0])
+    assert colored == 0
+    # leaves[:2] rotate, leaf_eids[1] takes alpha; the cut stays blank and
+    # leaves[2:] keep their colors
+    assert list(st.slot) == [1, 2, BLANK, 3, 1, 1]
+    assert validate_proper(st).ok
 
 
 class VizingChainStub:

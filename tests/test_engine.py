@@ -141,6 +141,21 @@ def test_color_one_blank_graph_first_iteration():
     assert validate_proper(st).ok
 
 
+_FLAG_COUNTER = {
+    FlagReason.FAN_FAIL: "flags_fan",
+    FlagReason.PIVOT_FAIL: "flags_pivot",
+    FlagReason.MAX_ITERATIONS: "flags_maxiter",
+    FlagReason.PALETTE_FLOOR: "palette_floor_hits",
+}
+
+
+def check_flag_counted(stats, st, reason):
+    # color_one counts the flag under its reason, and only there.
+    for r, name in _FLAG_COUNTER.items():
+        assert getattr(stats, name) == (r is reason), name
+    assert stats.flags_total == st.flagged_count == 1
+
+
 def test_color_one_forced_fan_failure():
     # saturate the non-pivot endpoint across the whole (overridden) stage-1
     # palette, so any sample fails at the first frontier
@@ -152,13 +167,35 @@ def test_color_one_forced_fan_failure():
         st.assign(1 + i, 1 + i)
     dom0, flg0 = dom_and_flg(st)
     cfg = RunConfig(epsilon=0.5)
-    out = color_one(st, 0, 1, cfg, rng_for(5), q1=q1)
+    stats = RunStats.for_run(g, cfg)
+    out = color_one(st, 0, 1, cfg, rng_for(5), stats=stats, q1=q1)
     assert not out.colored
     assert out.reason is FlagReason.FAN_FAIL
     assert out.iterations == 1
     assert out.flagged_edge == 0
+    check_flag_counted(stats, st, FlagReason.FAN_FAIL)
     check_color_one_contract(dom0, flg0, 0, st, out)
     assert validate_proper(st).ok
+
+
+def test_color_one_forced_pivot_failure():
+    # A star whose pivot holds every stage-1 color: the fan closes on a
+    # repeated leaf, and no sampled color is missing at the pivot.
+    g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], 5)
+    cfg = RunConfig(epsilon=0.5, kappa_const=50.0)
+    for seed in range(5):
+        st = ColoringState(g, 6)
+        for c in (1, 2, 3):
+            st.assign(c, c)
+        dom0, flg0 = dom_and_flg(st)
+        stats = RunStats.for_run(g, cfg)
+        out = color_one(st, 0, 0, cfg, rng_for(seed), stats=stats, q1=3)
+        assert not out.colored
+        assert out.reason is FlagReason.PIVOT_FAIL
+        assert out.flagged_edge == 0
+        check_flag_counted(stats, st, FlagReason.PIVOT_FAIL)
+        check_color_one_contract(dom0, flg0, 0, st, out)
+        assert validate_proper(st).ok
 
 
 def _shift_gadget():
@@ -184,21 +221,25 @@ def test_color_one_shift_then_palette_floor():
     # or a short path, or sample no color missing at x), so it is cut,
     # forcing one shift.
     # Round two finds the pool under the floor (1 + eps/100) * 3 and flags.
-    cfg = RunConfig(epsilon=0.5, kappa_const=50.0, ell_const=0.0001)
-    for seed in (11, 14, 21, 23, 27, 30):
-        g, st = _shift_gadget()
-        stats = RunStats.for_run(g, cfg)
-        dom0, flg0 = dom_and_flg(st)
-        out = color_one(st, 0, 0, cfg, rng_for(seed), stats=stats, q1=3)
-        assert not out.colored
-        assert out.reason is FlagReason.PALETTE_FLOOR
-        assert out.iterations == 1
-        assert stats.palette_floor_hits == 1
-        assert stats.shift_count == 1
-        # the flagged edge is the uncolored cut: (x,y1) or (y1,v2)
-        assert out.flagged_edge in (1, 3)
-        check_color_one_contract(dom0, flg0, 0, st, out)
-        assert validate_proper(st).ok
+    # With t_const so small that one round is allowed, the shift uses it up
+    # and the cut edge is flagged for MAX_ITERATIONS instead.
+    for t_const, reason in ((100.0, FlagReason.PALETTE_FLOOR),
+                            (1e-6, FlagReason.MAX_ITERATIONS)):
+        cfg = RunConfig(epsilon=0.5, kappa_const=50.0, ell_const=0.0001, t_const=t_const)
+        for seed in (11, 14, 21, 23, 27, 30):
+            g, st = _shift_gadget()
+            stats = RunStats.for_run(g, cfg)
+            dom0, flg0 = dom_and_flg(st)
+            out = color_one(st, 0, 0, cfg, rng_for(seed), stats=stats, q1=3)
+            assert not out.colored
+            assert out.reason is reason
+            assert out.iterations == 1
+            check_flag_counted(stats, st, reason)
+            assert stats.shift_count == 1
+            # the flagged edge is the uncolored cut: (x,y1) or (y1,v2)
+            assert out.flagged_edge in (1, 3)
+            check_color_one_contract(dom0, flg0, 0, st, out)
+            assert validate_proper(st).ok
 
 
 def test_color_one_contract_fuzz():
