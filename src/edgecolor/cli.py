@@ -6,6 +6,9 @@ coloring within the budget; fallback_used and restarts_used in --stats, and
 its restart: and fallback: lines on stderr, say how it got there.  The
 EDGECOLOR_SEED environment variable overrides the default seed; explicit
 --seed flags win over both.
+
+Each command imports the modules it runs when it starts, so verify loads
+neither the engine nor the generators, and only bench loads the harness.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ import argparse
 import os
 import sys
 
-from . import bench as bench_mod
-from .engine import RunConfig, run_full
 from .errors import EdgeColorError, InvalidSpec
-from .fileio import read_coloring, read_edge_list, write_coloring, write_edge_list
-from .generators import GenSpec, generate
-from .oracle import brute_chromatic_index
-from .state import find_conflicts
+from .fileio import (format_coloring, format_edge_list, read_coloring, read_edge_list,
+                     write_coloring, write_edge_list)
 
 
 class UsageError(Exception):
@@ -41,7 +40,8 @@ def _seed(args) -> int:
     return seed
 
 
-def _checked(cfg: RunConfig) -> RunConfig:
+def _checked(cfg):
+    """The RunConfig cfg, once its check passes."""
     try:
         cfg.check()
     except ValueError as exc:
@@ -105,6 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import GenSpec, generate
+
     spec = GenSpec(args.model, n=args.n, p=args.p, d=args.d, a=args.a, b=args.b,
                    dim=args.dim, seed=_seed(args))
     try:
@@ -115,8 +117,6 @@ def _cmd_gen(args) -> int:
     if args.out:
         write_edge_list(args.out, g)
     else:
-        from .fileio import format_edge_list
-
         sys.stdout.write(format_edge_list(g))
     print(f"generated {args.model}: n={g.n} m={g.m} max_degree={g.max_degree}",
           file=sys.stderr)
@@ -124,6 +124,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .engine import RunConfig, run_full
+
     cfg = _checked(RunConfig(
         epsilon=args.epsilon,
         kappa_const=args.kappa_const,
@@ -149,8 +151,6 @@ def _cmd_color(args) -> int:
     if args.output:
         write_coloring(args.output, g, state.slot, labels)
     else:
-        from .fileio import format_coloring
-
         sys.stdout.write(format_coloring(g, state.slot, labels))
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
@@ -166,6 +166,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .state import find_conflicts
+
     g, labels = read_edge_list(args.input)
     colors = read_coloring(args.coloring, g, labels)
     problems = [
@@ -185,6 +187,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_chromatic_index
+
     g, _ = read_edge_list(args.input)
     result = brute_chromatic_index(g)
     print(f"chromatic_index {result.chromatic_index}")
@@ -192,6 +196,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import bench_sweep, summarize
+    from .engine import RunConfig
+
     sizes = _number_list(args.sizes, int, "--sizes")
     if min(sizes) < 1:
         raise UsageError(f"--sizes must be positive edge counts, got {min(sizes)}")
@@ -204,10 +211,10 @@ def _cmd_bench(args) -> int:
     if args.delta < 1:
         raise UsageError(f"--delta must be at least 1, got {args.delta}")
     cfg = RunConfig(epsilon=epsilons[0], seed=seed)
-    records = bench_mod.bench_sweep(
+    records = bench_sweep(
         sizes, epsilons, args.trials, cfg, delta=args.delta, model=args.model, out=args.out
     )
-    sys.stdout.write(bench_mod.summarize(records))
+    sys.stdout.write(summarize(records))
     return 0
 
 

@@ -545,18 +545,18 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
         v = ev[e]
         mu = miss[u]
         mv = miss[v]
-        C = draws[cur : cur + kappa]
         # _color_one_raw's round-1 first fit, inlined: it is all most edges need.
-        for c in C:
+        for j in range(cur, cur + kappa):
+            c = draws[j]
             if mu[c] < 0 and mv[c] < 0:
                 slot[e] = c
                 mu[c] = e
                 mv[c] = e
                 fast += 1
-                # An earlier copy of c would have fit too, so this is the hit.
-                cur += C.index(c) + 1
+                cur = j + 1
                 break
         else:
+            C = draws[cur : cur + kappa]
             cur += kappa
             colored, iters, fedge, _ = raw(
                 state, e, u if coins[i] else v, q1, kappa, ell, rounds, floor_q, C, rng,

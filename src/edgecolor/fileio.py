@@ -10,7 +10,9 @@ Two readers give the same results and messages:
 * Integer texts, which are every file `edgecolor gen` and `edgecolor color`
   write, are read by numpy.  A text qualifies when one regex match finds
   only canonical decimal tokens (as `str(int)` writes them, at most 18
-  digits), spaces and tabs, LF or CRLF line ends and `#` comments.
+  digits), spaces and tabs, LF or CRLF line ends and `#` comments; the
+  match tries each line first in the shape the writers give it (tokens
+  split by one space, a LF end), which is cheaper to match.
   Edge-list labels are ranked in a value-indexed table; a coloring is
   matched to edge ids by comparing its label columns with the graph's, or,
   for lines in any other order, by a binary search of the edge keys.
@@ -62,9 +64,15 @@ _INT = r"(?:0|-?[1-9][0-9]{0,17}+)"
 def _int_lines_re(width: int) -> re.Pattern:
     """A pattern that matches a whole text iff it is canonical integers
     split by spaces and tabs, ``width`` per line (blank lines and `#`
-    comments allowed), with LF or CRLF line ends: the text numpy reads."""
+    comments allowed), with LF or CRLF line ends: the text numpy reads.
+
+    Each line is first tried as ``width`` tokens split by single spaces and
+    ended by a LF, the lines that gen and color write.  Any line that shape
+    matches, the general line matches too, up to the same LF, so the
+    texts accepted are the same; only the matcher's work per line drops."""
+    plain = " ".join([_INT] * width) + r"\n"
     line = rf"[ \t]*+(?:{_INT}(?:[ \t]++{_INT}){{{width - 1}}}[ \t]*+)?+(?:#[^{_EOL}]*+)?+"
-    return re.compile(rf"(?:{line}\r?\n)*+{line}")
+    return re.compile(rf"(?:{plain}|{line}\r?\n)*+{line}")
 
 
 _INT_EDGE_LINES = _int_lines_re(2)

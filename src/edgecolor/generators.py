@@ -128,7 +128,9 @@ def random_regular(n: int, d: int, rng) -> Graph:
             hi = np.maximum(u, v)
             keys = lo * n + hi
             ok = lo != hi
-            ok &= first_occurrences(keys)  # a key repeated within this round keeps its first pair
+            # A key repeated within this round keeps its first pair.
+            first, distinct = first_occurrences(keys, with_distinct=True)
+            ok &= first
             if len(accepted_keys):
                 # Later rounds hold few stubs: binary-search them in the
                 # accepted keys instead of re-sorting all of those.
@@ -136,10 +138,13 @@ def random_regular(n: int, d: int, rng) -> Graph:
                 ok &= accepted_keys[np.minimum(at, len(accepted_keys) - 1)] != keys
             if ok.any():
                 accepted_u.append(np.stack([lo[ok], hi[ok]], axis=1))
-                new = np.sort(keys[ok])
                 if len(accepted_keys):
-                    new = np.insert(accepted_keys, np.searchsorted(accepted_keys, new), new)
-                accepted_keys = new
+                    new = np.sort(keys[ok])
+                    accepted_keys = np.insert(accepted_keys, np.searchsorted(accepted_keys, new), new)
+                else:
+                    # All distinct keys but the loops', already sorted.
+                    loops = np.unique(keys[lo == hi])
+                    accepted_keys = np.delete(distinct, np.searchsorted(distinct, loops))
                 stalls = 0
             else:
                 stalls += 1

@@ -57,8 +57,9 @@ def endpoint_views(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return eu, ev
 
 
-def first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Boolean mask that is True at the first occurrence of each key.
+def first_occurrences(keys: np.ndarray, *, with_distinct: bool = False):
+    """Boolean mask that is True at the first occurrence of each key; with
+    ``with_distinct``, also the distinct keys in ascending order.
 
     Distinct keys cost one plain sort.  Only when some key repeats are its
     copies located and stably sorted to find which comes first.  The search
@@ -68,8 +69,10 @@ def first_occurrences(keys: np.ndarray) -> np.ndarray:
     """
     first = np.ones(len(keys), dtype=bool)
     ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    del ordered
+    same = ordered[1:] == ordered[:-1]
+    repeated = ordered[1:][same]
+    distinct = np.delete(ordered, np.flatnonzero(same) + 1) if with_distinct else None
+    del ordered, same
     if len(repeated):
         repeated = np.unique(repeated)
         low = (8 << len(repeated).bit_length()) - 1
@@ -80,7 +83,7 @@ def first_occurrences(keys: np.ndarray) -> np.ndarray:
         copies = maybe[near == keys[maybe]]
         first[copies] = False
         first[copies[np.unique(keys[copies], return_index=True)[1]]] = True
-    return first
+    return (first, distinct) if with_distinct else first
 
 
 def build_graph(edge_pairs, n) -> Graph:

@@ -1,3 +1,4 @@
+import re
 import string
 from array import array
 from contextlib import contextmanager
@@ -426,6 +427,49 @@ def int_path_reads(text, width):
     """Whether the numpy reader takes ``text`` (the others are read as labels)."""
     lines = fileio._INT_EDGE_LINES if width == 2 else fileio._INT_COLORING_LINES
     return lines.fullmatch(text) is not None
+
+
+def _general_int_lines_re(width):
+    """_int_lines_re without its writer-shaped first alternative."""
+    line = (rf"[ \t]*+(?:{fileio._INT}(?:[ \t]++{fileio._INT}){{{width - 1}}}[ \t]*+)?+"
+            rf"(?:#[^{fileio._EOL}]*+)?+")
+    return re.compile(rf"(?:{line}\r?\n)*+{line}")
+
+
+_GENERAL_INT_LINES = {w: _general_int_lines_re(w) for w in (2, 3)}
+
+# Tokens, gaps and line ends near the integer pattern's edges: canonical
+# and non-canonical integers, long tokens, runs of spaces and tabs, and
+# every line end it must tell apart.  Writer-shaped pieces come first and
+# most often, so many texts are accepted.
+_INT_TOKENS = st.sampled_from(["0", "1", "7", "-3", "9" * 18, "-" + "1" * 18] * 8
+                              + ["00", "-0", "+5", "-", "a", "9" * 19, ""])
+_INT_GAPS = st.sampled_from([" "] * 20 + ["  ", "\t", " \t", "", "\x0c"])
+_INT_ENDS = st.sampled_from(["\n"] * 20 + ["\r\n", "\r", "\x0c", " \n", "\t\n", " # x\n", "#\r\n", ""])
+
+
+@st.composite
+def int_line_texts(draw, width):
+    """Up to 6 lines of mostly ``width`` tokens, each gap and line end drawn
+    apart."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.sampled_from([width] * 6 + [0, width - 1, width + 1]))
+        line = draw(st.sampled_from(["", "", "", "", "", " ", "\t"]))
+        for i in range(k):
+            line += (draw(_INT_GAPS) if i else "") + draw(_INT_TOKENS)
+        lines.append(line + draw(_INT_ENDS))
+    return "".join(lines)
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda w: st.tuples(int_line_texts(w), st.just(w))))
+@settings(max_examples=1000, deadline=None)
+def test_int_lines_accept_what_the_general_line_accepts(case):
+    text, width = case
+    # The writer-shaped alternative only saves the matcher work: a text is
+    # accepted with it iff it is accepted without it.
+    expected = _GENERAL_INT_LINES[width].fullmatch(text) is not None
+    assert (fileio._int_lines_re(width).fullmatch(text) is not None) == expected
 
 
 @pytest.mark.parametrize("text, numpy_reads", [

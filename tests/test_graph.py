@@ -152,6 +152,8 @@ def test_first_occurrences_matches_unique_return_index(keys):
     expected = np.zeros(len(keys), dtype=bool)
     expected[np.unique(keys, return_index=True)[1]] = True
     assert first_occurrences(keys).tolist() == expected.tolist()
+    first, distinct = first_occurrences(keys, with_distinct=True)
+    assert first.tolist() == expected.tolist() and distinct.tolist() == np.unique(keys).tolist()
 
 
 @st.composite

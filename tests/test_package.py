@@ -1,5 +1,7 @@
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import edgecolor
@@ -22,3 +24,36 @@ def test_every_error_is_exported_and_raised():
             continue
         assert name in edgecolor.__all__, f"{name} is not exported"
         assert re.search(rf"\braise\s+{name}\b", source), f"nothing raises {name}"
+
+
+_HEAVY = ("edgecolor.engine", "edgecolor.chains", "edgecolor.bench", "edgecolor.oracle")
+
+
+def loaded_after(argv, cwd):
+    """The edgecolor modules loaded by a fresh interpreter that runs
+    ``cli_main(argv)``, after checking that the command succeeded."""
+    code = ("import sys\nfrom edgecolor.cli import cli_main\n"
+            f"assert cli_main({argv!r}) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('edgecolor')))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                          check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_verify_and_gen_load_only_what_they_run(tmp_path):
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
+    (tmp_path / "c.txt").write_text("0 1 1\n1 2 2\n0 2 3\n", encoding="utf-8")
+    verify = loaded_after(["verify", "--input", "g.txt", "--coloring", "c.txt"], tmp_path)
+    assert verify == {"edgecolor", "edgecolor.cli", "edgecolor.errors", "edgecolor.fileio",
+                      "edgecolor.graph", "edgecolor.state"}
+    gen = loaded_after(["gen", "--model", "complete", "--n", "4", "--out", "k4.txt"], tmp_path)
+    assert "edgecolor.generators" in gen and not gen.intersection(_HEAVY)
+
+
+def test_star_import_and_submodules_resolve():
+    code = ("from edgecolor import *\nimport edgecolor\n"
+            "assert all(globals()[name] is getattr(edgecolor, name) for name in edgecolor.__all__)\n"
+            "assert edgecolor.engine.run_full is run_full and edgecolor.bench.bench_sweep\n"
+            "from edgecolor import engine, fileio, generators\n"
+            "assert generators.generate is generate and fileio.read_edge_list")
+    subprocess.run([sys.executable, "-c", code], check=True)
