@@ -9,7 +9,8 @@ Edges whose attempts fail are flagged.  Stage 2 greedy-colors the flagged
 subgraph with a disjoint block of colors.  A run fails when the flagged
 subgraph is too dense for the stage-2 budget.  run_full restarts failed runs
 and, when every attempt failed or epsilon*Delta/6 < 1, falls back to
-vizing_color, which colors the whole graph with Delta + 1 colors.
+vizing_color, which colors the whole graph with Delta + 1 colors: a first
+fit over per-vertex bitsets, then Vizing chains for the edges it missed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import enum
 import math
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -437,46 +439,65 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
 def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     """Color every edge with at most max_degree + 1 colors (Vizing's theorem).
 
-    Edges are visited in a random order.  Each takes the smallest color in
-    [1, max_degree + 1] free at both endpoints; when there is none, the
-    stage-1 routine colors it with a Vizing chain over the full palette and
-    no path cap.  Both drivers first-fit inline and pass only the misses to
-    _color_one_raw.  Every vertex then misses some color, so neither a fan nor
-    a pivot can fail and no edge is flagged.  ``stats.path_hist`` counts the
-    first-fit edges with the fast paths at length 0.
+    Two passes over one random edge order.  The first gives each edge the
+    smallest color in [1, max_degree + 1] free at both endpoints, writing
+    only the slots (see _first_fit); the edge-id table is then filled from
+    them in one go.  The second colors each edge that found no free color,
+    in the same order, with the stage-1 chain routine over the full palette
+    and no path cap.  Every vertex then misses some color, so neither a fan
+    nor a pivot can fail and no edge is flagged.  ``stats.path_hist``
+    counts the first-fit edges at length 0.
     """
     m = g.m
     q = g.max_degree + 1
     state = ColoringState(g, q)
-    miss = state.missing
+    eu = g.edge_u
+    if stats is None:
+        stats = RunStats()
+    order = array("i", rng.permutation(m).astype(np.int32).tobytes())
+    misses = _first_fit(state, order)
+    del order
+    state.fill_missing()
+    palette = list(range(1, q + 1))
+    path_counts = Counter()
+    raw = _color_one_raw
+    for e in misses:
+        raw(state, e, eu[e], q, q, m + 1, 1, 0, palette, rng, path_counts, stats)
+    path_counts[0] += m - len(misses)
+    stats.path_hist = dict(sorted(path_counts.items()))
+    _check(state.colored_count == m, "every edge colored")
+    _check(max(state.slot, default=0) <= q, f"max color <= D + 1 = {q}")
+    return state
+
+
+def _first_fit(state: ColoringState, order) -> array:
+    """Give each edge of ``order``, in turn, the smallest color in
+    [1, state.q] free at both endpoints; return the edges that found none.
+
+    Writes only ``state.slot``: the colors used at each vertex are one
+    Python int, bit c - 1 for color c, so the lowest color free at both
+    ends of u-v is the lowest zero bit of used[u] | used[v].  The edge-id
+    table and colored_count are left for ColoringState.fill_missing.
+    """
+    g = state.graph
     slot = state.slot
     eu = g.edge_u
     ev = g.edge_v
-    if stats is None:
-        stats = RunStats()
-    palette = list(range(1, q + 1))
-    path_counts = [0] * max(g.n, 1)  # a simple path has at most n - 1 edges
-    raw = _color_one_raw
-    chained = 0
-    for e in array("i", rng.permutation(m).astype(np.int32).tobytes()):
+    q = state.q
+    used = [0] * g.n
+    misses = array("i")
+    for e in order:
         u = eu[e]
-        mu = miss[u]
-        mv = miss[ev[e]]
-        for c in palette:
-            if mu[c] < 0 and mv[c] < 0:
-                slot[e] = c
-                mu[c] = e
-                mv[c] = e
-                state.colored_count += 1
-                break
+        v = ev[e]
+        b = ~(used[u] | used[v])
+        b &= -b
+        if b >> q:
+            misses.append(e)
         else:
-            chained += 1
-            raw(state, e, u, q, q, m + 1, 1, 0, palette, rng, path_counts, stats)
-    path_counts[0] += m - chained
-    stats.path_hist = {length: c for length, c in enumerate(path_counts) if c}
-    _check(state.colored_count == m, "every edge colored")
-    _check(max(slot, default=0) <= q, f"max color <= D + 1 = {q}")
-    return state
+            slot[e] = b.bit_length()
+            used[u] |= b
+            used[v] |= b
+    return misses
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from array import array
 from collections import defaultdict
+from functools import cache
 from itertools import chain, count
 
 import numpy as np
@@ -43,6 +44,7 @@ _COMMENT = re.compile(rf"#[^{_EOL}]*")
 _LINE_END = re.compile(rf"[{_EOL}]")
 
 
+@cache
 def _lines_re(width: int) -> re.Pattern:
     """A pattern that matches a whole text iff each of its lines, with any
     comment cut off, holds 0 or ``width`` tokens.  The possessive repeats
@@ -53,14 +55,12 @@ def _lines_re(width: int) -> re.Pattern:
     return re.compile(rf"(?:{line}(?:\r\n|[{_EOL}]))*+{line}")
 
 
-_EDGE_LINES = _lines_re(2)
-_COLORING_LINES = _lines_re(3)
-
 # A canonical decimal int64 token: no '+', no leading zero, no '-0', and at
 # most 18 digits, so it fits.  One token reads as one value and back.
 _INT = r"(?:0|-?[1-9][0-9]{0,17}+)"
 
 
+@cache
 def _int_lines_re(width: int) -> re.Pattern:
     """A pattern that matches a whole text iff it is canonical integers
     split by spaces and tabs, ``width`` per line (blank lines and `#`
@@ -75,9 +75,10 @@ def _int_lines_re(width: int) -> re.Pattern:
     return re.compile(rf"(?:{plain}|{line}\r?\n)*+{line}")
 
 
-_INT_EDGE_LINES = _int_lines_re(2)
-_INT_COLORING_LINES = _int_lines_re(3)
-_INT_LABELS = re.compile(rf"(?:{_INT}(?: {_INT})*+)?+")
+@cache
+def _int_labels_re() -> re.Pattern:
+    """A pattern that matches canonical integers joined by single spaces."""
+    return re.compile(rf"(?:{_INT}(?: {_INT})*+)?+")
 
 
 def _ints(text: str) -> np.ndarray:
@@ -145,11 +146,11 @@ def _data_lines(text: str):
 
 def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     """Parse edge-list text; returns the graph and the id -> label table."""
-    ranked = _ranked(_ints(text)) if _INT_EDGE_LINES.fullmatch(text) is not None else None
+    ranked = _ranked(_ints(text)) if _int_lines_re(2).fullmatch(text) is not None else None
     if ranked is not None:
         ids, labels = ranked
         return build_graph(ids.reshape(-1, 2), len(labels)), labels
-    if _EDGE_LINES.fullmatch(text) is None:
+    if _lines_re(2).fullmatch(text) is None:
         for lineno, parts in _data_lines(text):
             if len(parts) != 2:
                 raise MalformedInput(f"line {lineno}: expected 'u v', got {parts!r}")
@@ -261,7 +262,7 @@ def _label_values(labels: list[str]) -> np.ndarray | None:
         joined = " ".join(labels)
     except TypeError:
         return None
-    if _INT_LABELS.fullmatch(joined) is None:
+    if _int_labels_re().fullmatch(joined) is None:
         return None
     lab = np.fromstring(joined, dtype=np.int64, sep=" ")
     ordered = np.sort(lab)
@@ -342,10 +343,10 @@ def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
     text; an integer text in any other order is matched to edge ids by
     binary search; any other text is read line by line.
     """
-    lab = _label_values(labels) if _INT_COLORING_LINES.fullmatch(text) is not None else None
+    lab = _label_values(labels) if _int_lines_re(3).fullmatch(text) is not None else None
     if lab is not None:
         colors = _int_colors(text, lab, g)
-    elif _COLORING_LINES.fullmatch(text) is not None:
+    elif _lines_re(3).fullmatch(text) is not None:
         colors = _colors_in_edge_order(text, g, labels)
     else:
         colors = None

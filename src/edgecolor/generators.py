@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, RejectionExhausted
-from .graph import Graph, build_graph, first_occurrences
+from .graph import Graph, build_graph, endpoint_views, first_occurrences
 
 MODELS = ("gnp", "random_regular", "complete", "complete_bipartite", "hypercube")
 
@@ -108,9 +108,29 @@ def random_regular(n: int, d: int, rng) -> Graph:
     loops or repeated edges are rejected and their stubs re-shuffled into the
     next round.  A stuck attempt restarts from scratch; after
     ``_MAX_ATTEMPTS`` restarts the generator raises RejectionExhausted.
+    Above d = (n - 1) / 2 the pairing rounds rarely clear their last
+    repeats, so there the graph is the complement of a random
+    (n - 1 - d)-regular one, in (u, v) order.
     """
     if d < 0 or d >= max(n, 1) or (n * d) % 2:
         raise InvalidSpec(f"random_regular requires 0 <= d < n and n*d even, got n={n} d={d}")
+    if 2 * d > n - 1:
+        return _complement(_pairing(n, n - 1 - d, rng))
+    return _pairing(n, d, rng)
+
+
+def _complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are the pairs g lacks."""
+    n = g.n
+    u, v = np.triu_indices(n, 1)
+    keep = np.ones(len(u), dtype=bool)
+    a, b = (ends.astype(np.int64) for ends in endpoint_views(g))
+    keep[a * (2 * n - a - 1) // 2 + b - a - 1] = False  # (a, b)'s place in triu order
+    return build_graph(np.stack((u[keep], v[keep]), axis=1), n)
+
+
+def _pairing(n: int, d: int, rng) -> Graph:
+    """random_regular's pairing model, for a spec it has checked."""
     if d == 0 or n == 0:
         return build_graph([], n)
 

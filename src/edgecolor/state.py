@@ -31,6 +31,9 @@ BLANK = 0
 FLAGGED = -1
 NO_EDGE = -1
 
+# Edges per scatter of ColoringState.fill_missing.
+_FILL_BLOCK = 1 << 14
+
 
 class ColoringState:
     __slots__ = ("graph", "q", "slot", "missing", "colored_count", "flagged_count")
@@ -104,6 +107,30 @@ class ColoringState:
             raise NotColored(f"edge {e} is not flagged (slot={self.slot[e]})")
         self.slot[e] = BLANK
         self.flagged_count -= 1
+
+    def fill_missing(self) -> None:
+        """Rewrite the whole edge-id table and ``colored_count`` from the
+        slots, for slots written directly, as vizing_color's first pass
+        writes them; the colored slots must be proper.
+
+        The ids are scattered into one numpy table, _FILL_BLOCK edges at a
+        time so no temporary is the size of the graph, and each row is then
+        copied into the row that already exists, so no row is reallocated.
+        """
+        g = self.graph
+        slot = np.frombuffer(self.slot, dtype=np.intc)
+        eu, ev = endpoint_views(g)
+        table = np.full((g.n, self.q + 1), NO_EDGE, dtype=np.intc)
+        for lo in range(0, g.m, _FILL_BLOCK):
+            hi = min(lo + _FILL_BLOCK, g.m)
+            color = np.maximum(slot[lo:hi], 0)  # blank and flagged slots land in column 0
+            ids = np.arange(lo, hi, dtype=np.intc)
+            table[eu[lo:hi], color] = ids
+            table[ev[lo:hi], color] = ids
+        table[:, 0] = NO_EDGE
+        for row, ids in zip(self.missing, table):
+            memoryview(row)[:] = ids
+        self.colored_count = int(np.count_nonzero(slot > 0))
 
     # -- derived views ---------------------------------------------------
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from edgecolor import ColoringState, Graph, build_graph
 from edgecolor.errors import MalformedInput, RejectionExhausted
-from edgecolor.generators import complete, complete_bipartite, gnp, hypercube, random_regular
+from edgecolor.generators import _pairing, complete, complete_bipartite, gnp, hypercube
 from edgecolor.state import BLANK, FLAGGED
 
 
@@ -73,7 +73,10 @@ def random_graph(rng, max_n=40, min_n=2) -> Graph:
             d = int(rng.integers(1, min(6, n)))
             if (n * d) % 2:
                 n += 1
-            g = random_regular(n, d, rng)
+            # The pairing model itself, also where random_regular would take a
+            # complement (d > (n - 1) / 2): the graphs, and the draws left for
+            # the tests that pin a random stream, stay those of the pairing.
+            g = _pairing(n, d, rng)
         if g.m:
             return g
     raise AssertionError("failed to generate a non-empty graph")
@@ -99,6 +102,26 @@ def random_partial_state(g: Graph, q: int, rng, fill=0.6, flag_frac=0.05) -> Col
         elif r < fill + flag_frac:
             state.flag(e)
     return state
+
+
+def reference_first_fit(g: Graph, order, q: int) -> tuple[list[int], list[int]]:
+    """Sequential first fit by palette scan: each edge of ``order`` in turn
+    takes the smallest color in [1, q] free at both endpoints.  Returns the
+    color per edge id (0 for an edge that found none) and those edges in
+    visit order; ``engine._first_fit`` must match it."""
+    present: list[set[int]] = [set() for _ in range(g.n)]
+    colors = [0] * g.m
+    misses = []
+    for e in order:
+        at_u, at_v = present[g.edge_u[e]], present[g.edge_v[e]]
+        c = next((c for c in range(1, q + 1) if c not in at_u and c not in at_v), 0)
+        if c:
+            colors[e] = c
+            at_u.add(c)
+            at_v.add(c)
+        else:
+            misses.append(e)
+    return colors, misses
 
 
 def reference_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from helpers import (
     dom_and_flg,
     random_graph,
     random_partial_state,
+    reference_first_fit,
     rng_for,
     traced_memory,
 )
@@ -398,6 +400,37 @@ def test_vizing_color_chains_never_flag(monkeypatch):
         assert sum(stats.path_hist.values()) == g.m
     assert outcomes and all(colored for colored, *_ in outcomes)
     assert any(length > 0 for length in stats.path_hist)
+
+
+def test_first_fit_matches_sequential_scan():
+    # Pass 1 of vizing_color: the bitset first fit must give the palette
+    # scan's colors and misses on the same order, also past 63 colors and
+    # with a palette too small for the graph; the table filled from its
+    # slots must pass the independent rescan.
+    rng = rng_for(21)
+    graphs = [random_graph(rng, max_n=60) for _ in range(30)] + [complete(70)]
+    for g in graphs:
+        for q in {g.max_degree + 1, max(1, g.max_degree // 2)}:
+            order = array("i", rng.permutation(g.m).astype(np.int32).tobytes())
+            state = ColoringState(g, q)
+            misses = engine._first_fit(state, order)
+            colors, ref_misses = reference_first_fit(g, order, q)
+            assert list(state.slot) == colors and list(misses) == ref_misses
+            state.fill_missing()
+            report = validate_proper(state)
+            assert report.ok and report.blank_count == len(misses)
+            assert state.colored_count == g.m - len(misses)
+
+
+@pytest.mark.parametrize("g", [complete(70), random_regular(200, 80, rng_for(4))],
+                         ids=["K70", "rr200-80"])
+def test_vizing_color_past_63_colors(g):
+    stats = RunStats()
+    st = vizing_color(g, rng_for(1), stats)
+    report = validate_proper(st)
+    assert report.ok and report.blank_count == 0 and report.flagged_count == 0
+    assert st.max_color_used() <= g.max_degree + 1
+    assert sum(stats.path_hist.values()) == g.m
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,7 @@ def test_coloring_with_repeated_labels_matches_reference():
 
 def int_path_reads(text, width):
     """Whether the numpy reader takes ``text`` (the others are read as labels)."""
-    lines = fileio._INT_EDGE_LINES if width == 2 else fileio._INT_COLORING_LINES
-    return lines.fullmatch(text) is not None
+    return fileio._int_lines_re(width).fullmatch(text) is not None
 
 
 def _general_int_lines_re(width):

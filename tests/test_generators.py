@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from edgecolor import GenSpec, InvalidSpec, RejectionExhausted, generate
@@ -100,9 +102,34 @@ _PAIRING_SHAPES = [
 def test_random_regular_matches_isin_reference(n, d, seed, rounds, restarts):
     ref, ref_rounds, ref_restarts = reference_random_regular(n, d, rng_for(seed))
     assert (ref_rounds, ref_restarts) == (rounds, restarts)  # the shape covers what it says
-    g = random_regular(n, d, rng_for(seed))
+    # The pairing model itself: above d = (n - 1) / 2 random_regular takes
+    # the complement of a sparser graph instead, and below it calls this.
+    g = generators._pairing(n, d, rng_for(seed))
     assert g.edge_u == ref.edge_u
     assert g.edge_v == ref.edge_v
+    if 2 * d <= n - 1:
+        again = random_regular(n, d, rng_for(seed))
+        assert (again.edge_u, again.edge_v) == (g.edge_u, g.edge_v)
+
+
+def test_random_regular_near_complete_is_a_complement():
+    # The pairing model alone takes minutes on this spec and then raises
+    # RejectionExhausted; its complement is the empty graph, so this is K1000.
+    start = time.perf_counter()
+    g = random_regular(1000, 999, rng_for(0))
+    assert time.perf_counter() - start < 10
+    k1000 = complete(1000)
+    assert (g.edge_u, g.edge_v) == (k1000.edge_u, k1000.edge_v)
+    for n, d, seed in ((30, 20, 1), (31, 16, 2), (4, 3, 0), (10, 5, 3)):
+        g = random_regular(n, d, rng_for(seed))
+        assert g.m == n * d // 2 and set(g.degrees) == {d}  # build_graph rejected any repeat
+        sparse = random_regular(n, n - 1 - d, rng_for(seed))
+        pairs = set(zip(g.edge_u, g.edge_v))
+        assert pairs.isdisjoint(zip(sparse.edge_u, sparse.edge_v))
+        assert len(pairs) + sparse.m == n * (n - 1) // 2
+    at_half = random_regular(9, 4, rng_for(5))  # d = (n - 1) / 2 still pairs
+    paired = generators._pairing(9, 4, rng_for(5))
+    assert (at_half.edge_u, at_half.edge_v) == (paired.edge_u, paired.edge_v)
 
 
 def test_random_regular_exhausted_message(monkeypatch):

@@ -271,3 +271,14 @@ def test_random_partial_states_validate(subtests=None):
         g = random_graph(rng)
         st = random_partial_state(g, g.max_degree + 2, rng)
         assert validate_proper(st).ok
+
+
+def test_fill_missing_rebuilds_the_table_from_the_slots():
+    rng = rng_for(56)
+    for _ in range(25):
+        g = random_graph(rng)
+        st = random_partial_state(g, g.max_degree + 2, rng)
+        fresh = ColoringState(g, st.q)
+        fresh.slot[:] = st.slot
+        fresh.fill_missing()
+        assert fresh.missing == st.missing and fresh.colored_count == st.colored_count
