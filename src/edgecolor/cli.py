@@ -1,11 +1,11 @@
 """Command-line surface: gen, color, verify, oracle, bench.
 
-Exit codes: 0 success, 1 a bad input file or an improper coloring (verify),
-2 usage error (one line on stderr, no traceback).  color always writes a
-coloring within the budget; fallback_used and restarts_used in --stats, and
-its restart: and fallback: lines on stderr, say how it got there.  The
-EDGECOLOR_SEED environment variable overrides the default seed; explicit
---seed flags win over both.
+Exit codes: 0 success, 1 a bad input file, an improper coloring (verify) or
+too little memory, 2 usage error (one line on stderr, no traceback).  color
+always writes a coloring within the budget; fallback_used and restarts_used
+in --stats, and its restart: and fallback: lines on stderr, say how it got
+there.  The EDGECOLOR_SEED environment variable overrides the default seed;
+explicit --seed flags win over both.
 
 Each command imports the modules it runs when it starts, so verify loads
 neither the engine nor the generators, and only bench loads the harness.
@@ -240,6 +240,9 @@ def cli_main(argv=None) -> int:
         return 2
     except (EdgeColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -13,11 +13,13 @@ Two readers give the same results and messages:
   digits), spaces and tabs, LF or CRLF line ends and `#` comments; the
   match tries each line first in the shape the writers give it (tokens
   split by one space, a LF end), which is cheaper to match.
-  Edge-list labels are ranked in a value-indexed table; a coloring is
-  matched to edge ids by comparing its label columns with the graph's, or,
-  for lines in any other order, by a binary search of the edge keys.
-* Any other text is checked with one regex match per reader and split in
-  chunks, so the per-line and per-token work runs in C.
+  Edge-list labels are ranked in a value-indexed table and returned as
+  their int64 values; a coloring read against such a table is matched to
+  edge ids by comparing its label columns with the graph's, or, for lines
+  in any other order, by a binary search of the edge keys.
+* Any other text, an integer edge list whose values span too wide a range
+  included, is checked with one regex match per reader and split in chunks,
+  so the per-line and per-token work runs in C; its labels are str.
 
 A text that fails its check is read line by line to name its first bad
 line, and so is a coloring that holds a duplicate, a missing or an unknown
@@ -75,12 +77,6 @@ def _int_lines_re(width: int) -> re.Pattern:
     return re.compile(rf"(?:{plain}|{line}\r?\n)*+{line}")
 
 
-@cache
-def _int_labels_re() -> re.Pattern:
-    """A pattern that matches canonical integers joined by single spaces."""
-    return re.compile(rf"(?:{_INT}(?: {_INT})*+)?+")
-
-
 def _ints(text: str) -> np.ndarray:
     """The tokens, as one int64 array, of a text that an _int_lines_re
     pattern matched, or of a piece of one cut just after a LF."""
@@ -91,11 +87,11 @@ def _ints(text: str) -> np.ndarray:
     return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
-def _ranked(vals: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
+def _ranked(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Dense int32 ids in first-seen order for the int64 tokens ``vals``
-    (which this consumes), and the id -> label table.  None when their
-    values span too wide a range for a table indexed by value (at most 2
-    entries per token, plus 1024)."""
+    (which this consumes), and the id -> label table: the distinct values.
+    None when their values span too wide a range for a table indexed by
+    value (at most 2 entries per token, plus 1024)."""
     k = len(vals)
     lo, hi = (int(vals.min()), int(vals.max())) if k else (0, -1)
     span = hi - lo + 1
@@ -112,7 +108,7 @@ def _ranked(vals: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
     ids = rank[vals]
     del vals, rank
     seen += lo
-    return ids, list(map(str, seen.tolist()))
+    return ids, seen
 
 
 # Characters per str.split call.  Only one chunk's tokens are alive at
@@ -144,8 +140,8 @@ def _data_lines(text: str):
             yield lineno, line.split()
 
 
-def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
-    """Parse edge-list text; returns the graph and the id -> label table."""
+def parse_edge_list(text: str) -> tuple[Graph, np.ndarray | list[str]]:
+    """Parse edge-list text; returns the graph and its id -> label table, int64 or str."""
     ranked = _ranked(_ints(text)) if _int_lines_re(2).fullmatch(text) is not None else None
     if ranked is not None:
         ids, labels = ranked
@@ -170,16 +166,18 @@ def _read_text(path) -> str:
         ) from None
 
 
-def read_edge_list(path) -> tuple[Graph, list[str]]:
+def read_edge_list(path) -> tuple[Graph, np.ndarray | list[str]]:
     return parse_edge_list(_read_text(path))
 
 
 # Edges per string that _chunks yields: one %-format call each, so the
-# per-edge work stays in C while the transient list stays small.
-_CHUNK = 1 << 14
+# per-edge work stays in C while the transient list stays small.  An int64
+# label table makes two new ints per edge, so with 16k edges `color`'s peak
+# RSS rose by 0.6-1 MB at m=200k; 4k edges write as fast.
+_CHUNK = 1 << 12
 
 
-def _chunks(g: Graph, labels: list[str] | None, colors=None):
+def _chunks(g: Graph, labels: np.ndarray | list[str] | None, colors=None):
     """The `u v` lines, or with colors the `u v c` lines, of g in edge-id order,
     _CHUNK edges per string.  Labels default to the vertex ids; colors below
     1 (blank or flagged slots) print as 0."""
@@ -190,14 +188,19 @@ def _chunks(g: Graph, labels: list[str] | None, colors=None):
         raise ValueError(f"{len(colors)} colors for {m} edges")
     line = "%s %s\n" if colors is None else "%s %s %s\n"
     width = 2 if colors is None else 3
+    if labels is not None and not isinstance(labels, np.ndarray):
+        labels = np.array(labels, dtype=object)  # a "U" array would strip trailing NULs
+    eu, ev = endpoint_views(g)
 
     def chunks():
         for lo in range(0, m, _CHUNK):
             hi = min(lo + _CHUNK, m)
-            us, vs = g.edge_u[lo:hi], g.edge_v[lo:hi]
+            us, vs = eu[lo:hi], ev[lo:hi]
+            if labels is not None:
+                us, vs = labels[us], labels[vs]
             flat = [0] * (width * (hi - lo))
-            flat[0::width] = us if labels is None else [labels[u] for u in us]
-            flat[1::width] = vs if labels is None else [labels[v] for v in vs]
+            flat[0::width] = us.tolist()
+            flat[1::width] = vs.tolist()
             if colors is not None:
                 flat[2::width] = [c if c > 0 else 0 for c in colors[lo:hi]]
             yield (line * (hi - lo)) % tuple(flat)
@@ -205,17 +208,17 @@ def _chunks(g: Graph, labels: list[str] | None, colors=None):
     return chunks()
 
 
-def format_edge_list(g: Graph, labels: list[str] | None = None) -> str:
+def format_edge_list(g: Graph, labels: np.ndarray | list[str] | None = None) -> str:
     return "".join(_chunks(g, labels))
 
 
-def write_edge_list(path, g: Graph, labels: list[str] | None = None) -> None:
+def write_edge_list(path, g: Graph, labels: np.ndarray | list[str] | None = None) -> None:
     chunks = _chunks(g, labels)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
 
 
-def format_coloring(g: Graph, colors, labels: list[str] | None = None) -> str:
+def format_coloring(g: Graph, colors, labels: np.ndarray | list[str] | None = None) -> str:
     """One `u v c` line per edge in edge-id order; blank/flagged slots emit 0.
 
     ``colors`` is a sequence indexed by edge id; a length other than g.m
@@ -223,7 +226,7 @@ def format_coloring(g: Graph, colors, labels: list[str] | None = None) -> str:
     return "".join(_chunks(g, labels, colors))
 
 
-def write_coloring(path, g: Graph, colors, labels: list[str] | None = None) -> None:
+def write_coloring(path, g: Graph, colors, labels: np.ndarray | list[str] | None = None) -> None:
     chunks = _chunks(g, labels, colors)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
@@ -254,30 +257,13 @@ def _colors_in_edge_order(text: str, g: Graph, labels: list[str]) -> list[int] |
     return colors
 
 
-def _label_values(labels: list[str]) -> np.ndarray | None:
-    """The labels as int64 values if each is a distinct canonical integer
-    token, so a token of an integer text names the vertex whose label has
-    its value; else None."""
-    try:
-        joined = " ".join(labels)
-    except TypeError:
-        return None
-    if _int_labels_re().fullmatch(joined) is None:
-        return None
-    lab = np.fromstring(joined, dtype=np.int64, sep=" ")
-    ordered = np.sort(lab)
-    if len(lab) != len(labels) or (ordered[1:] == ordered[:-1]).any():
-        return None  # a label holds a space, or two labels are equal
-    return lab
-
-
 # Characters per np.fromstring call of _int_colors (~5k coloring lines), so
 # its peak is the text and the list of colors it returns.
 _INT_CHARS = 1 << 16
 
 
 def _int_colors(text: str, lab: np.ndarray, g: Graph) -> list[int] | None:
-    """The colors of an integer coloring text, given the label values
+    """The colors of an integer coloring text, given the int64 label table
     ``lab``; None unless its lines are the graph's edges, each once, with
     colors >= 0.  A text in edge-id order is parsed and checked in pieces
     of about _INT_CHARS characters; any other goes to _reordered_colors."""
@@ -334,24 +320,25 @@ def _reordered_colors(rows: np.ndarray, lab: np.ndarray, g: Graph) -> list[int] 
     return colors.tolist()
 
 
-def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
+def parse_coloring(text: str, g: Graph, labels: np.ndarray | list[str]) -> list[int]:
     """Read a coloring file back against a known graph.
 
-    Labels must resolve through the graph's own table; every graph edge must
-    appear exactly once.  Returns colors indexed by edge id.  A file in
-    edge-id order is read chunk by chunk, by numpy if it is an integer
-    text; an integer text in any other order is matched to edge ids by
-    binary search; any other text is read line by line.
+    Labels must resolve through the table parse_edge_list gave; every graph
+    edge must appear exactly once.  Returns colors indexed by edge id.  An
+    integer text read against an int64 table is read by numpy, chunk by
+    chunk in edge-id order, else by binary search; any other file in
+    edge-id order is read chunk by chunk as tokens, the rest line by line.
     """
-    lab = _label_values(labels) if _int_lines_re(3).fullmatch(text) is not None else None
-    if lab is not None:
-        colors = _int_colors(text, lab, g)
-    elif _lines_re(3).fullmatch(text) is not None:
+    if isinstance(labels, np.ndarray):
+        if labels.dtype == np.int64 and _int_lines_re(3).fullmatch(text) is not None:
+            colors = _int_colors(text, labels, g)
+            if colors is not None:
+                return colors
+        labels = list(map(str, labels.tolist()))
+    if _lines_re(3).fullmatch(text) is not None:
         colors = _colors_in_edge_order(text, g, labels)
-    else:
-        colors = None
-    if colors is not None:
-        return colors
+        if colors is not None:
+            return colors
     index = {lab: i for i, lab in enumerate(labels)}
     n = g.n
     edge_id = {u * n + v: e for e, (u, v) in enumerate(zip(g.edge_u, g.edge_v))}  # u < v
@@ -387,5 +374,5 @@ def parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int]:
     return colors
 
 
-def read_coloring(path, g: Graph, labels: list[str]) -> list[int]:
+def read_coloring(path, g: Graph, labels: np.ndarray | list[str]) -> list[int]:
     return parse_coloring(_read_text(path), g, labels)

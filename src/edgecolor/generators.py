@@ -47,8 +47,16 @@ class GenSpec:
             if self.a < 0 or self.b < 0:
                 raise InvalidSpec(f"complete_bipartite requires a, b >= 0, got {self.a}, {self.b}")
         elif self.model == "hypercube":
-            if self.dim < 1:
-                raise InvalidSpec(f"hypercube requires dim >= 1, got {self.dim}")
+            if not 1 <= self.dim <= 31:
+                raise InvalidSpec(f"hypercube requires 1 <= dim <= 31, got {self.dim}")
+        n, m = {"gnp": (self.n, 0), "random_regular": (self.n, self.n * self.d // 2),
+                "complete": (self.n, self.n * (self.n - 1) // 2),
+                "complete_bipartite": (self.a + self.b, self.a * self.b),
+                "hypercube": (1 << self.dim, self.dim << self.dim >> 1)}[self.model]
+        if n > 1 << 31:  # build_graph's bound: vertex and edge ids are int32
+            raise InvalidSpec(f"{self.model} has {n} vertices; at most 2**31 fit")
+        if m >= 1 << 31:
+            raise InvalidSpec(f"{self.model} has {m} edges; at most 2**31 - 1 fit")
 
 
 def generate(spec: GenSpec) -> Graph:

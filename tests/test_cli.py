@@ -1,3 +1,4 @@
+import hashlib
 import io
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgecolor import engine, generators
 from edgecolor.cli import cli_main
 
 
@@ -218,6 +220,88 @@ def test_color_huge_kappa_const_is_clamped(tmp_path, capsys):
 def test_gen_bad_parameters_are_usage_errors(tmp_path, capsys, params):
     _assert_usage_error(capsys, "gen", "--model", *params, "--out", str(tmp_path / "g.txt"))
     assert not (tmp_path / "g.txt").exists()
+
+
+def _unreachable(*args):
+    raise AssertionError("a generator ran on a spec its check should refuse")
+
+
+@pytest.mark.parametrize("params", [
+    ("gnp", "--n", "3000000000", "--p", "1e-10"),
+    ("random_regular", "--n", str(2**31 + 2), "--d", "2"),
+    ("random_regular", "--n", "100000", "--d", "50000"),  # 2.5e9 edges
+    ("complete", "--n", str(2**31 + 1)),
+    ("complete", "--n", "65537"),  # 2**31 + 2**15 edges
+    ("complete", "--n", "100000"),
+    ("complete_bipartite", "--a", str(2**31), "--b", "1"),
+    ("complete_bipartite", "--a", "65536", "--b", "32768"),  # 2**31 edges
+    ("hypercube", "--dim", "40"),
+    ("hypercube", "--dim", "28"),  # 28 * 2**27 edges
+])
+def test_gen_refuses_graphs_too_large_to_hold(tmp_path, capsys, monkeypatch, params):
+    # Refused by the spec check, before any generator allocates.
+    for model in generators.MODELS:
+        monkeypatch.setattr(generators, model, _unreachable)
+    _assert_usage_error(capsys, "gen", "--model", *params, "--out", str(tmp_path / "g.txt"))
+    assert not (tmp_path / "g.txt").exists()
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["gen", "color"])
+def test_out_of_memory_is_one_line_failure(tmp_path, capsys, monkeypatch, command):
+    graph = _graph(tmp_path)
+    monkeypatch.setattr(generators, "generate", _no_memory)
+    monkeypatch.setattr(engine, "run_full", _no_memory)
+    capsys.readouterr()
+    argv = (["gen", "--model", "complete", "--n", "4"] if command == "gen"
+            else ["color", "--input", graph])
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the edge list, the coloring, the --stats file and the stderr of
+# verify on an all-1 coloring, then verify's stdout: for the gen file, and
+# for the same graph with each label i written as v<i>.
+_PINNED = {
+    "ints": ("62b9811384189cb1f5cf45fd91ef31917a7f27ed3144a1c5f6e4c124a42e942e",
+             "0af8396ba2197889e2bfa5d9a07b029e3f654fca899404d4b16f95f9ccb0e4e8",
+             "9107fcb35a01a14770ce6aadf1ae10403c154c8f2b2d4e37962cd74cbf4f0e0e",
+             "d8f17bc9b4c54c2b8fe7a0640e9df19db0eb662e3850c713a7119a18bfe7ee91",
+             "OK: 600 edges, 5 max color\n"),
+    "v-labels": ("5805fbd6aa884d4d7c041330f97b123e25f01d7038f0de9a4da65c6dba781d16",
+                 "20a11828b4f9b87a51d9733fcdc0c4f26cca5fec29e62f58ca974e9616badc6b",
+                 "9107fcb35a01a14770ce6aadf1ae10403c154c8f2b2d4e37962cd74cbf4f0e0e",
+                 "27878f250328e4fccd69b931259b8b76bf997d81420b6c9565eeae78a301a8db",
+                 "OK: 600 edges, 5 max color\n"),
+}
+
+
+@pytest.mark.parametrize("labels", sorted(_PINNED))
+def test_cli_file_bytes_are_pinned(tmp_path, capsys, labels):
+    graph = tmp_path / "g.txt"
+    assert run_cli("gen", "--model", "random_regular", "--n", "300", "--d", "4", "--seed", "1",
+                   "--out", str(graph)) == 0
+    if labels == "v-labels":
+        pairs = map(str.split, graph.read_text().splitlines())
+        graph.write_text("".join(f"v{u} v{v}\n" for u, v in pairs))
+    coloring, stats, all_ones = tmp_path / "c.txt", tmp_path / "s.txt", tmp_path / "ones.txt"
+    assert run_cli("color", "--input", str(graph), "--seed", "1", "--output", str(coloring),
+                   "--stats", str(stats)) == 0
+    all_ones.write_text("".join(line.rsplit(" ", 1)[0] + " 1\n"
+                                for line in coloring.read_text().splitlines()))
+    capsys.readouterr()
+    assert run_cli("verify", "--input", str(graph), "--coloring", str(all_ones)) == 1
+    conflicts = hashlib.sha256(capsys.readouterr().err.encode()).hexdigest()
+    assert run_cli("verify", "--input", str(graph), "--coloring", str(coloring)) == 0
+    got = (_sha256(graph), _sha256(coloring), _sha256(stats), conflicts, capsys.readouterr().out)
+    assert got == _PINNED[labels]
 
 
 def test_color_epsilon_out_of_range_is_usage_error(tmp_path, capsys):

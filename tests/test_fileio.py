@@ -19,6 +19,7 @@ from edgecolor.fileio import (
     write_edge_list,
 )
 from edgecolor.generators import random_regular
+from edgecolor.graph import endpoint_views
 from edgecolor.state import BLANK, FLAGGED
 
 from helpers import (
@@ -29,6 +30,11 @@ from helpers import (
     rng_for,
     traced_memory,
 )
+
+
+def str_labels(labels):
+    """The label table as the str labels its entries print as."""
+    return list(map(str, labels.tolist())) if isinstance(labels, np.ndarray) else labels
 
 
 def make_colored():
@@ -98,6 +104,7 @@ def test_parse_coloring_reversed_endpoints_ok():
 def test_edge_list_format_uses_labels():
     g, labels = parse_edge_list("alpha beta\nbeta gamma\n")
     assert format_edge_list(g, labels) == "alpha beta\nbeta gamma\n"
+    assert format_edge_list(g, ["alpha\x00", "beta", "\x00"]) == "alpha\x00 beta\nbeta \x00\n"
 
 
 # Integer-looking tokens at the edges of the numpy reader's canonical form:
@@ -177,25 +184,31 @@ def test_coloring_text_round_trip(data):
     assert back == [max(c, 0) for c in colors]  # blank (0) and flagged (-1) read as 0
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
-@given(seed=st.integers(0, 2**32 - 1), labelled=st.booleans(),
+@pytest.mark.parametrize("m", [0, 1, 2, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1,  # the first chunk's end
+                               4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1, 8 * _CHUNK + 3])
+@given(seed=st.integers(0, 2**32 - 1), table=st.sampled_from(["ids", "str", "int64"]),
        stem=st.text(_LABEL_CHARS + "%{}", min_size=1, max_size=3), packed=st.booleans())
 @settings(max_examples=8, deadline=None)
-def test_writers_match_per_edge_reference(tmp_path_factory, m, seed, labelled, stem, packed):
+def test_writers_match_per_edge_reference(tmp_path_factory, m, seed, table, stem, packed):
     rng = rng_for(seed)
     n = m + 1 + int(rng.integers(0, 3))
     perm = rng.permutation(n)
     g = build_graph(np.stack([perm[:m], perm[1:m + 1]], axis=1), n)  # a path: m distinct edges
-    labels = [f"{stem}{i}" for i in rng.permutation(n)] if labelled else None
+    if table == "str":
+        labels = [f"{stem}{i}" for i in rng.permutation(n)]
+    elif table == "int64":  # as parse_edge_list returns an integer text's labels
+        labels = rng.integers(-(10 ** 18), 10 ** 18, size=n)
+    else:
+        labels = None
     colors = rng.integers(1, 1 << 40, size=m)
     unset = rng.random(m) < 0.2
     colors[unset] = rng.choice([BLANK, FLAGGED], size=int(unset.sum()))
     colors = array("q", colors.tolist()) if packed else colors.tolist()
 
     text = format_edge_list(g, labels)
-    assert text == reference_format_edge_list(g, labels)
+    assert text == reference_format_edge_list(g, str_labels(labels))
     coloring = format_coloring(g, colors, labels)
-    assert coloring == reference_format_coloring(g, colors, labels)
+    assert coloring == reference_format_coloring(g, colors, str_labels(labels))
     out = tmp_path_factory.mktemp("writers")
     write_edge_list(out / "g.txt", g, labels)
     write_coloring(out / "c.txt", g, colors, labels)
@@ -214,7 +227,8 @@ def test_coloring_writers_reject_wrong_length(tmp_path, extra):
 
 
 # The chunked parsers against the line-by-line references (tests/helpers.py):
-# equal results, or MalformedInput with an equal message.
+# equal results, or MalformedInput with an equal message.  An int64 label
+# table stands for the str labels its values print as.
 
 def _outcome(parse, *args):
     try:
@@ -223,7 +237,7 @@ def _outcome(parse, *args):
         return f"MalformedInput: {exc}"
     if isinstance(result, tuple):
         g, labels = result
-        return g.n, g.edge_u, g.edge_v, g.degrees, labels
+        return g.n, g.edge_u, g.edge_v, g.degrees, [str(x) for x in labels]
     return result
 
 
@@ -233,7 +247,7 @@ def assert_edge_list_matches_reference(text):
 
 def assert_coloring_matches_reference(text, g, labels):
     assert _outcome(parse_coloring, text, g, labels) == \
-        _outcome(reference_parse_coloring, text, g, labels)
+        _outcome(reference_parse_coloring, text, g, str_labels(labels))
 
 
 @contextmanager
@@ -307,9 +321,10 @@ _TRIANGLE_PLUS = "a b\nb c\nc a\n0 1\n"  # edge order: a b, b c, a c, 0 1
 @given(st.one_of(coloring_texts(), lined_texts(3)), st.sampled_from([1, 5, fileio._SPLIT_CHARS]))
 @settings(max_examples=300, deadline=None)
 def test_parse_coloring_matches_reference_on_any_text(text, chars):
-    g, labels = parse_edge_list(_TRIANGLE_PLUS)
-    with split_chars(chars):
-        assert_coloring_matches_reference(text, g, labels)
+    for graph in (_TRIANGLE_PLUS, _INT_GRAPH):  # str labels, int64 labels
+        g, labels = parse_edge_list(graph)
+        with split_chars(chars):
+            assert_coloring_matches_reference(text, g, labels)
 
 
 _INT_GRAPH = "0 1\n1 2\n2 0\n5 1\n-4 12\n"  # edge order: 0 1, 1 2, 0 2, 1 5, -4 12
@@ -506,7 +521,8 @@ _INT_COLORING = "0 1 1\n1 2 2\n0 2 3\n1 5 4\n-4 12 1\n"  # _INT_GRAPH's edges, i
 ])
 def test_integer_coloring_edge_cases_match_reference(text):
     g, labels = parse_edge_list(_INT_GRAPH)
-    assert_coloring_matches_reference(text, g, labels)
+    for table in (labels, str_labels(labels)):  # int64, str
+        assert_coloring_matches_reference(text, g, table)
 
 
 @pytest.mark.parametrize("labels", [
@@ -516,6 +532,8 @@ def test_integer_coloring_edge_cases_match_reference(text):
     ["0", "1", "2", "5 5", "-4", "12"], ["0", "1", "2", "", "-4", "12"],
     ["0", "1", "2", "5", "-4"], ["0", "1", "2", "5", "-4", "12", "13"], ["0", "1", "2", "5 -4", "12"],
     [0, 1, 2, 5, -4, 12],
+    np.array([0, 1, 2, 5, -4, 12]), np.array([0, 1, 2, 5, -4]), np.array([0, 1, 2, 5, -4, 12, 13]),
+    np.array([0, 1, 2, 5, -4, 12], dtype=np.int32), np.array(["0", "1", "2", "5", "-4", "12"]),
 ])
 def test_integer_coloring_with_any_label_table_matches_reference(labels):
     # A non-canonical, repeated or blank label, or a table of the wrong
@@ -535,6 +553,28 @@ def test_wide_label_values_get_no_value_table(text):
     # text is read as labels instead.
     (g, labels), _, peak = traced_memory(parse_edge_list, text)
     assert labels == text.split() and peak < 1 << 16
+
+
+@pytest.mark.parametrize("text, int64", [
+    ("0 1\n1 2\n", True), ("", True), ("-4 12 # note\r\n", True),
+    ("0 1000000", False), ("007 7", False), ("a b", False), ("1 2\r3 4", False),
+])
+def test_integer_edge_lists_get_an_int64_label_table(text, int64):
+    _, labels = parse_edge_list(text)
+    if int64:
+        assert isinstance(labels, np.ndarray) and labels.dtype == np.int64
+    else:
+        assert labels == text.split("#")[0].split()
+
+
+def test_integer_labels_hold_8_bytes_per_vertex():
+    # An integer text's labels are one int64 array: 8 B per vertex beyond
+    # the graph itself (a list of str held ~62).
+    text = format_edge_list(random_regular(50_000, 4, rng_for(5)))
+    parse_edge_list("0 1\n")  # compile the cached patterns before tracing
+    (g, labels), held, _ = traced_memory(parse_edge_list, text)
+    graph_held = traced_memory(build_graph, np.stack(endpoint_views(g), axis=1), g.n)[1]
+    assert g.n == 50_000 and held - graph_held <= 8 * g.n + 1024
 
 
 def test_parsers_peak_memory():

@@ -87,6 +87,30 @@ def test_invalid_specs():
         generate(GenSpec("hypercube", dim=0))
 
 
+@pytest.mark.parametrize("spec, fits", [
+    (GenSpec("gnp", n=2**31, p=1e-12), True), (GenSpec("gnp", n=2**31 + 1, p=1e-12), False),
+    (GenSpec("random_regular", n=2**31, d=1), True),
+    (GenSpec("random_regular", n=2**31 + 2, d=1), False),
+    (GenSpec("random_regular", n=2**16 + 2, d=2**16 - 2), True),  # 2**31 - 2 edges
+    (GenSpec("random_regular", n=2**16 + 2, d=2**16), False),  # 2**31 + 2**16 edges
+    (GenSpec("complete", n=2**16), True), (GenSpec("complete", n=2**16 + 1), False),
+    (GenSpec("complete_bipartite", a=2**31 - 1, b=1), True),
+    (GenSpec("complete_bipartite", a=2**31, b=1), False),
+    (GenSpec("complete_bipartite", a=2**16, b=2**15 - 1), True),
+    (GenSpec("complete_bipartite", a=2**16, b=2**15), False),
+    (GenSpec("hypercube", dim=27), True), (GenSpec("hypercube", dim=28), False),
+    (GenSpec("hypercube", dim=10**9), False),
+])
+def test_check_bounds_vertex_and_edge_counts(spec, fits):
+    # build_graph takes at most 2**31 vertices and 2**31 - 1 edges (int32
+    # ids); the check refuses larger specs before anything is allocated.
+    if fits:
+        spec.check()
+    else:
+        with pytest.raises(InvalidSpec, match="31"):
+            spec.check()
+
+
 # (n, d, seed, pairing rounds, restarts) of the reference on that seed.
 _PAIRING_SHAPES = [
     (5000, 4, 3, 1, 0),      # every pair accepted in the first round

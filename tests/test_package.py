@@ -56,21 +56,21 @@ def compiled_after(argv, cwd):
     code = ("from edgecolor import fileio\nfrom edgecolor.cli import cli_main\n"
             f"assert cli_main({argv!r}) == 0\n"
             "print(*(f.cache_info().currsize for f in "
-            "(fileio._lines_re, fileio._int_lines_re, fileio._int_labels_re)))")
+            "(fileio._lines_re, fileio._int_lines_re)))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
                           check=True)
-    return tuple(map(int, proc.stdout.split()[-3:]))
+    return tuple(map(int, proc.stdout.split()[-2:]))
 
 
 def test_fileio_compiles_only_the_patterns_a_command_reads_with(tmp_path):
     # gen writes a file and reads none; verify on the integer files gen and
     # color write needs the integer patterns only, never the general ones.
     assert compiled_after(["gen", "--model", "complete", "--n", "4", "--out", "k4.txt"],
-                          tmp_path) == (0, 0, 0)
+                          tmp_path) == (0, 0)
     (tmp_path / "c.txt").write_text("0 1 1\n0 2 2\n0 3 3\n1 2 3\n1 3 2\n2 3 1\n",
                                     encoding="utf-8")
     assert compiled_after(["verify", "--input", "k4.txt", "--coloring", "c.txt"],
-                          tmp_path) == (0, 2, 1)
+                          tmp_path) == (0, 2)
 
 
 def test_star_import_and_submodules_resolve():
