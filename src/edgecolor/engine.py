@@ -466,7 +466,7 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     path_counts[0] += m - len(misses)
     stats.path_hist = dict(sorted(path_counts.items()))
     _check(state.colored_count == m, "every edge colored")
-    _check(max(state.slot, default=0) <= q, f"max color <= D + 1 = {q}")
+    _check(state.max_color_used() <= q, f"max color <= D + 1 = {q}")
     return state
 
 

@@ -24,6 +24,13 @@ Two readers give the same results and messages:
 A text that fails its check is read line by line to name its first bad
 line, and so is a coloring that holds a duplicate, a missing or an unknown
 edge or a bad color, or whose non-integer lines are not in edge-id order.
+
+The writers split on the same marker.  For vertex ids or an int64 label
+table, numpy makes each label's text once and gathers each chunk of lines
+into one record array, so no Python object is made per token.  A str table is
+written by one %-format call per chunk: its labels are any UTF-8 and may
+hold a NUL, the byte the integer writer pads with.  On either path each
+color must be an integer that fits in int64.
 """
 
 from __future__ import annotations
@@ -170,42 +177,97 @@ def read_edge_list(path) -> tuple[Graph, np.ndarray | list[str]]:
     return parse_edge_list(_read_text(path))
 
 
-# Edges per string that _chunks yields: one %-format call each, so the
-# per-edge work stays in C while the transient list stays small.  An int64
-# label table makes two new ints per edge, so with 16k edges `color`'s peak
-# RSS rose by 0.6-1 MB at m=200k; 4k edges write as fast.
-_CHUNK = 1 << 12
+# Edges per string that the writers yield.  The integer writer makes no
+# Python object per edge: a chunk is one record array of about 16 bytes per
+# line at m=200k (~256 KiB), and the %-format writer's gathered labels are
+# the table's own str objects.
+_CHUNK = 1 << 14
+
+
+def _texts(vals: np.ndarray, end: int) -> np.ndarray:
+    """Each integer of ``vals`` (any int64 value) as one fixed-width bytes
+    item (numpy void): its text as str(int) writes it, right-aligned and
+    NUL-padded to the longest, then the byte ``end``."""
+    neg = vals < 0
+    mag = np.abs(vals.astype(np.int64, copy=False)).view(np.uint64)  # |-2**63| is 2**63 as uint64
+    w = len(str(int(mag.max(initial=0)))) + bool(neg.any())
+    rows = np.zeros((len(vals), w + 1), dtype=np.uint8)
+    rows[:, w] = end
+    for j in range(w - 1, -1, -1):
+        q = mag // 10
+        digit = mag - q * 10 + ord("0")
+        rows[:, j] = digit if j == w - 1 else digit * (mag > 0)  # 0 prints as "0"; pads stay NUL
+        mag = q
+    at = np.flatnonzero(neg)
+    rows[at, (rows[at] != 0).argmax(axis=1) - 1] = ord("-")  # left of the first digit
+    return rows.view(np.dtype((np.void, w + 1))).reshape(-1)
+
+
+def _color_column(colors, m: int) -> np.ndarray:
+    """``colors`` as one integer array, a view of an array("i") or ndarray;
+    ValueError for a length other than m or a color that is not an integer
+    that fits in int64."""
+    if len(colors) != m:
+        raise ValueError(f"{len(colors)} colors for {m} edges")
+    col = np.asarray(colors)
+    if col.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    # A list of ints that fit no one integer dtype becomes an object or a
+    # float array; bools, floats and strs are not colors.
+    if col.dtype.kind not in "iu" or (col.dtype.kind == "u" and col.max() >= 1 << 63):
+        raise ValueError("a color is not an integer that fits in int64")
+    return col
+
+
+def _int_chunks(g: Graph, labels: np.ndarray | None, col: np.ndarray | None):
+    """_chunks for vertex ids or an int64 label table: each label's text is
+    made once, and each chunk gathers its texts into one record per line
+    whose NUL pads one bytes.translate call drops."""
+    eu, ev = endpoint_views(g)
+    table = _texts(np.arange(g.n) if labels is None else labels, ord(" "))
+    for lo in range(0, g.m, _CHUNK):
+        hi = min(lo + _CHUNK, g.m)
+        fields = [("u", table.dtype), ("v", table.dtype)]
+        if col is not None:
+            ctext = _texts(np.maximum(col[lo:hi], 0), ord("\n"))
+            fields.append(("c", ctext.dtype))
+        rec = np.empty(hi - lo, fields)
+        np.take(table, eu[lo:hi], out=rec["u"])
+        np.take(table, ev[lo:hi], out=rec["v"])
+        if col is not None:
+            rec["c"] = ctext
+        rec.view(np.uint8).reshape(hi - lo, -1)[:, -1] = ord("\n")
+        yield rec.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _str_chunks(g: Graph, labels, col: np.ndarray | None):
+    """_chunks for any other label table, by one %-format call per chunk:
+    a str label may hold a NUL."""
+    line = "%s %s\n" if col is None else "%s %s %s\n"
+    width = 2 if col is None else 3
+    if not isinstance(labels, np.ndarray):
+        labels = np.array(labels, dtype=object)  # a "U" array would strip trailing NULs
+    eu, ev = endpoint_views(g)
+    for lo in range(0, g.m, _CHUNK):
+        hi = min(lo + _CHUNK, g.m)
+        flat = [0] * (width * (hi - lo))
+        flat[0::width] = labels[eu[lo:hi]].tolist()
+        flat[1::width] = labels[ev[lo:hi]].tolist()
+        if col is not None:
+            flat[2::width] = np.maximum(col[lo:hi], 0).tolist()
+        yield (line * (hi - lo)) % tuple(flat)
 
 
 def _chunks(g: Graph, labels: np.ndarray | list[str] | None, colors=None):
     """The `u v` lines, or with colors the `u v c` lines, of g in edge-id order,
     _CHUNK edges per string.  Labels default to the vertex ids; colors below
-    1 (blank or flagged slots) print as 0."""
-    m = g.m
-    # Checked before the generator starts, so write_coloring raises before
-    # it opens (and truncates) the file.
-    if colors is not None and len(colors) != m:
-        raise ValueError(f"{len(colors)} colors for {m} edges")
-    line = "%s %s\n" if colors is None else "%s %s %s\n"
-    width = 2 if colors is None else 3
-    if labels is not None and not isinstance(labels, np.ndarray):
-        labels = np.array(labels, dtype=object)  # a "U" array would strip trailing NULs
-    eu, ev = endpoint_views(g)
-
-    def chunks():
-        for lo in range(0, m, _CHUNK):
-            hi = min(lo + _CHUNK, m)
-            us, vs = eu[lo:hi], ev[lo:hi]
-            if labels is not None:
-                us, vs = labels[us], labels[vs]
-            flat = [0] * (width * (hi - lo))
-            flat[0::width] = us.tolist()
-            flat[1::width] = vs.tolist()
-            if colors is not None:
-                flat[2::width] = [c if c > 0 else 0 for c in colors[lo:hi]]
-            yield (line * (hi - lo)) % tuple(flat)
-
-    return chunks()
+    1 (blank or flagged slots) print as 0.  The colors are checked here,
+    before the generator starts, so write_coloring raises before it opens
+    (and truncates) the file."""
+    col = None if colors is None else _color_column(colors, g.m)
+    if labels is None or isinstance(labels, np.ndarray) and labels.dtype == np.int64:
+        return _int_chunks(g, labels, col)
+    return _str_chunks(g, labels, col)
 
 
 def format_edge_list(g: Graph, labels: np.ndarray | list[str] | None = None) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class ColoringState:
         # per-vertex table: probe loops test `row[c] < 0` directly.
         self.slot = array("i", [BLANK]) * graph.m
         blank_row = array("i", [NO_EDGE]) * (q + 1)
-        self.missing = [blank_row[:] for _ in range(graph.n)]
+        self.missing = list(map(array.__copy__, repeat(blank_row, graph.n)))
         self.colored_count = 0
         self.flagged_count = 0
 
@@ -138,7 +139,7 @@ class ColoringState:
         return np.flatnonzero(np.asarray(self.slot) == FLAGGED).tolist()
 
     def max_color_used(self) -> int:
-        return max(max(self.slot, default=0), 0)
+        return int(np.frombuffer(self.slot, dtype=np.intc).max(initial=0))
 
 
 @dataclass

@@ -184,12 +184,18 @@ def test_coloring_text_round_trip(data):
     assert back == [max(c, 0) for c in colors]  # blank (0) and flagged (-1) read as 0
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1,  # the first chunk's end
-                               4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1, 8 * _CHUNK + 3])
+# Extreme int64 labels: the widest texts, a sign, and -2**63, whose
+# magnitude does not fit in int64.
+_INT64_EDGES = np.array([0, 10 ** 18 - 1, -(10 ** 18 - 1), -(1 << 63), (1 << 63) - 1])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 9, 4095, 4096, 4097,  # 4096 edges were one chunk before
+                               _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
 @given(seed=st.integers(0, 2**32 - 1), table=st.sampled_from(["ids", "str", "int64"]),
-       stem=st.text(_LABEL_CHARS + "%{}", min_size=1, max_size=3), packed=st.booleans())
+       stem=st.text(_LABEL_CHARS + "%{}", min_size=1, max_size=3),
+       kind=st.sampled_from(["list", "array_i", "array_q", "ndarray", "uint64"]))
 @settings(max_examples=8, deadline=None)
-def test_writers_match_per_edge_reference(tmp_path_factory, m, seed, table, stem, packed):
+def test_writers_match_per_edge_reference(tmp_path_factory, m, seed, table, stem, kind):
     rng = rng_for(seed)
     n = m + 1 + int(rng.integers(0, 3))
     perm = rng.permutation(n)
@@ -198,12 +204,23 @@ def test_writers_match_per_edge_reference(tmp_path_factory, m, seed, table, stem
         labels = [f"{stem}{i}" for i in rng.permutation(n)]
     elif table == "int64":  # as parse_edge_list returns an integer text's labels
         labels = rng.integers(-(10 ** 18), 10 ** 18, size=n)
+        k = min(n, len(_INT64_EDGES))
+        labels[rng.choice(n, k, replace=False)] = rng.permutation(_INT64_EDGES)[:k]
     else:
         labels = None
-    colors = rng.integers(1, 1 << 40, size=m)
+    # Colors over all of [-1, 2**63 - 1], at every width: a random value
+    # shifted right by 0 to 63 bits.
+    colors = rng.integers(-1, (1 << 63) - 1, size=m, endpoint=True) >> rng.integers(0, 64, size=m)
     unset = rng.random(m) < 0.2
     colors[unset] = rng.choice([BLANK, FLAGGED], size=int(unset.sum()))
-    colors = array("q", colors.tolist()) if packed else colors.tolist()
+    if kind == "array_i":  # palette colors, as ColoringState.slot holds them
+        colors = array("i", (colors >> 56).tolist())
+    elif kind == "array_q":
+        colors = array("q", colors.tolist())
+    elif kind == "list":
+        colors = colors.tolist()
+    elif kind == "uint64":
+        colors = np.maximum(colors, 0).astype(np.uint64)
 
     text = format_edge_list(g, labels)
     assert text == reference_format_edge_list(g, str_labels(labels))
@@ -214,6 +231,36 @@ def test_writers_match_per_edge_reference(tmp_path_factory, m, seed, table, stem
     write_coloring(out / "c.txt", g, colors, labels)
     assert (out / "g.txt").read_bytes() == text.encode()
     assert (out / "c.txt").read_bytes() == coloring.encode()
+
+
+def test_int64_labels_print_as_str():
+    # Each decimal width, signed and not, and both ends of int64.
+    vals = sorted({s * (10 ** k + d) for k in range(19) for d in (-1, 0) for s in (1, -1)}
+                  | {-(1 << 63), (1 << 63) - 1})
+    labels = np.array(vals, dtype=np.int64)
+    g = build_graph([(i, i + 1) for i in range(len(vals) - 1)], len(vals))
+    assert format_edge_list(g, labels) == "".join(f"{u} {v}\n" for u, v in zip(vals, vals[1:]))
+    colors = [max(v, 0) for v in vals[1:]]
+    assert format_coloring(g, colors, labels) == "".join(
+        f"{u} {v} {c}\n" for u, v, c in zip(vals, vals[1:], colors))
+
+
+@pytest.mark.parametrize("colors", [[1, 1 << 63, 2], [1, -(1 << 63) - 1, 2], [1, 1 << 64, -1],
+                                    np.array([1, 1 << 63, 2], dtype=np.uint64),
+                                    array("Q", [1, 1 << 63, 2]), [1, 1.5, 2], [1.0, 2.0, 3.0],
+                                    np.array([1, 2, np.nan]), [True, False, True], ["1", "2", "3"]],
+                         ids=["list", "list-negative", "list-object", "uint64", "array-Q",
+                              "float", "integral-float", "nan", "bool", "str"])
+def test_coloring_writers_reject_colors_not_int64(tmp_path, colors):
+    g, labels = parse_edge_list("a b\nb c\nc a\n")
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"an existing file\n")
+    for table in (labels, np.array([5, 6, 7]), None):
+        with pytest.raises(ValueError, match="integer that fits in int64"):
+            format_coloring(g, colors, table)
+        with pytest.raises(ValueError, match="integer that fits in int64"):
+            write_coloring(path, g, colors, table)
+        assert path.read_bytes() == b"an existing file\n"
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
