@@ -9,6 +9,11 @@ explicit --seed flags win over both.
 
 Each command imports the modules it runs when it starts, so verify loads
 neither the engine nor the generators, and only bench loads the harness.
+Importing this module loads no numpy either: main() first caps OpenBLAS at
+one thread (OPENBLAS_NUM_THREADS=1, unless the user set it), and numpy loads
+inside the command after that.  The package makes no BLAS call, and the
+worker threads OpenBLAS starts at load time otherwise cost every command
+time at startup and compete with the main thread while it runs.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import os
 import sys
 
 from .errors import EdgeColorError, InvalidSpec
-from .fileio import (format_coloring, format_edge_list, read_coloring, read_edge_list,
-                     write_coloring, write_edge_list)
 
 
 class UsageError(Exception):
@@ -105,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    from .fileio import format_edge_list, write_edge_list
     from .generators import GenSpec, generate
 
     spec = GenSpec(args.model, n=args.n, p=args.p, d=args.d, a=args.a, b=args.b,
@@ -125,6 +129,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_color(args) -> int:
     from .engine import RunConfig, run_full
+    from .fileio import format_coloring, read_edge_list, write_coloring
 
     cfg = _checked(RunConfig(
         epsilon=args.epsilon,
@@ -166,27 +171,31 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import numpy as np
+
+    from .fileio import read_coloring, read_edge_list
     from .state import find_conflicts
 
     g, labels = read_edge_list(args.input)
-    colors = read_coloring(args.coloring, g, labels)
+    colors = np.asarray(read_coloring(args.coloring, g, labels), dtype=np.int64)
     problems = [
         f"conflict: edges {labels[g.edge_u[e1]]}-{labels[g.edge_v[e1]]} and "
         f"{labels[g.edge_u[e2]]}-{labels[g.edge_v[e2]]} share color {c} at vertex {labels[x]}"
         for e1, e2, x, c in find_conflicts(g, colors)
     ]
-    uncolored = colors.count(0)
+    uncolored = int(np.count_nonzero(colors == 0))
     if uncolored:
         problems.append(f"incomplete: {uncolored} edges have color 0")
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
         return 1
-    print(f"OK: {len(colors)} edges, {max(colors, default=0)} max color")
+    print(f"OK: {len(colors)} edges, {int(colors.max(initial=0))} max color")
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    from .fileio import read_edge_list
     from .oracle import brute_chromatic_index
 
     g, _ = read_edge_list(args.input)
@@ -247,6 +256,8 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
+    # Before any command imports numpy; see the module docstring.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(cli_main())
 
 

@@ -441,23 +441,22 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
 
     Two passes over one random edge order.  The first gives each edge the
     smallest color in [1, max_degree + 1] free at both endpoints, writing
-    only the slots (see _first_fit); the edge-id table is then filled from
-    them in one go.  The second colors each edge that found no free color,
-    in the same order, with the stage-1 chain routine over the full palette
-    and no path cap.  Every vertex then misses some color, so neither a fan
-    nor a pivot can fail and no edge is flagged.  ``stats.path_hist``
-    counts the first-fit edges at length 0.
+    only the slots (see _first_fit); the state and its edge-id table are
+    then built from them in one go.  The second colors each edge that found
+    no free color, in the same order, with the stage-1 chain routine over the
+    full palette and no path cap.  Every vertex then misses some color, so
+    neither a fan nor a pivot can fail and no edge is flagged.
+    ``stats.path_hist`` counts the first-fit edges at length 0.
     """
     m = g.m
     q = g.max_degree + 1
-    state = ColoringState(g, q)
     eu = g.edge_u
     if stats is None:
         stats = RunStats()
     order = array("i", rng.permutation(m).astype(np.int32).tobytes())
-    misses = _first_fit(state, order)
+    slot, misses = _first_fit(g, q, order)
     del order
-    state.fill_missing()
+    state = ColoringState.from_slots(g, q, slot)
     palette = list(range(1, q + 1))
     path_counts = Counter()
     raw = _color_one_raw
@@ -470,20 +469,19 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     return state
 
 
-def _first_fit(state: ColoringState, order) -> array:
-    """Give each edge of ``order``, in turn, the smallest color in
-    [1, state.q] free at both endpoints; return the edges that found none.
+def _first_fit(g: Graph, q: int, order) -> tuple[array, array]:
+    """Give each edge of ``order``, in turn, the smallest color in [1, q]
+    free at both endpoints; return the slot per edge id (BLANK for an edge
+    that found none) and those edges in visit order.
 
-    Writes only ``state.slot``: the colors used at each vertex are one
-    Python int, bit c - 1 for color c, so the lowest color free at both
-    ends of u-v is the lowest zero bit of used[u] | used[v].  The edge-id
-    table and colored_count are left for ColoringState.fill_missing.
+    The colors used at each vertex are one Python int, bit c - 1 for color
+    c, so the lowest color free at both ends of u-v is the lowest zero bit
+    of used[u] | used[v].  No edge-id table is kept; see
+    ColoringState.from_slots.
     """
-    g = state.graph
-    slot = state.slot
+    slot = array("i", [BLANK]) * g.m
     eu = g.edge_u
     ev = g.edge_v
-    q = state.q
     used = [0] * g.n
     misses = array("i")
     for e in order:
@@ -497,7 +495,7 @@ def _first_fit(state: ColoringState, order) -> array:
             slot[e] = b.bit_length()
             used[u] |= b
             used[v] |= b
-    return misses
+    return slot, misses
 
 
 # ---------------------------------------------------------------------------

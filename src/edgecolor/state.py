@@ -32,8 +32,9 @@ BLANK = 0
 FLAGGED = -1
 NO_EDGE = -1
 
-# Edges per scatter of ColoringState.fill_missing.
+# Edges per scatter, and vertices per block of rows, of ColoringState.from_slots.
 _FILL_BLOCK = 1 << 14
+_ROW_BLOCK = 1 << 12
 
 
 class ColoringState:
@@ -109,29 +110,42 @@ class ColoringState:
         self.slot[e] = BLANK
         self.flagged_count -= 1
 
-    def fill_missing(self) -> None:
-        """Rewrite the whole edge-id table and ``colored_count`` from the
-        slots, for slots written directly, as vizing_color's first pass
-        writes them; the colored slots must be proper.
+    @classmethod
+    def from_slots(cls, graph: Graph, q: int, slot: array) -> ColoringState:
+        """State over ``graph`` with palette {1, ..., q} whose slot array is
+        ``slot`` (kept, not copied), as vizing_color's first pass writes it;
+        the colored slots must be proper and at most q.
 
-        The ids are scattered into one numpy table, _FILL_BLOCK edges at a
-        time so no temporary is the size of the graph, and each row is then
-        copied into the row that already exists, so no row is reallocated.
+        The edge-id table is built once: the ids are scattered into one numpy
+        table, _FILL_BLOCK edges at a time so no temporary is the size of the
+        graph, and the rows are cut from one array per _ROW_BLOCK vertices, so
+        no second copy of the whole table exists.
         """
-        g = self.graph
-        slot = np.frombuffer(self.slot, dtype=np.intc)
-        eu, ev = endpoint_views(g)
-        table = np.full((g.n, self.q + 1), NO_EDGE, dtype=np.intc)
-        for lo in range(0, g.m, _FILL_BLOCK):
-            hi = min(lo + _FILL_BLOCK, g.m)
-            color = np.maximum(slot[lo:hi], 0)  # blank and flagged slots land in column 0
+        self = cls.__new__(cls)
+        self.graph = graph
+        self.q = q
+        self.slot = slot
+        slots = np.frombuffer(slot, dtype=np.intc)
+        eu, ev = endpoint_views(graph)
+        table = np.full((graph.n, q + 1), NO_EDGE, dtype=np.intc)
+        for lo in range(0, graph.m, _FILL_BLOCK):
+            hi = min(lo + _FILL_BLOCK, graph.m)
+            color = np.maximum(slots[lo:hi], 0)  # blank and flagged slots land in column 0
             ids = np.arange(lo, hi, dtype=np.intc)
             table[eu[lo:hi], color] = ids
             table[ev[lo:hi], color] = ids
         table[:, 0] = NO_EDGE
-        for row, ids in zip(self.missing, table):
-            memoryview(row)[:] = ids
-        self.colored_count = int(np.count_nonzero(slot > 0))
+        width = q + 1
+        self.missing = []
+        for lo in range(0, graph.n, _ROW_BLOCK):
+            flat = array("i")
+            flat.frombytes(memoryview(table[lo:lo + _ROW_BLOCK]).cast("B"))
+            starts = range(0, len(flat), width)
+            rows = map(slice, starts, range(width, len(flat) + width, width))
+            self.missing.extend(map(flat.__getitem__, rows))
+        self.colored_count = int(np.count_nonzero(slots > 0))
+        self.flagged_count = int(np.count_nonzero(slots == FLAGGED))
+        return self
 
     # -- derived views ---------------------------------------------------
 

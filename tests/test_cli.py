@@ -1,5 +1,6 @@
 import hashlib
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,12 +8,45 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgecolor import engine, generators
+from edgecolor import cli, engine, generators
 from edgecolor.cli import cli_main
 
 
 def run_cli(*argv):
     return cli_main(list(argv))
+
+
+def _blas_threads_seen_by_main(monkeypatch):
+    """The OPENBLAS_NUM_THREADS value a command sees when main() runs it."""
+    seen = []
+
+    def spy(args):
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", spy)
+    monkeypatch.setattr(sys, "argv", ["edgecolor", "gen", "--model", "complete", "--n", "4"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 0
+    return seen
+
+
+def test_main_caps_blas_threads_unless_set(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")  # restored after the test
+    assert _blas_threads_seen_by_main(monkeypatch) == ["3"]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert _blas_threads_seen_by_main(monkeypatch) == ["1"]
+
+
+def test_cli_main_leaves_the_environment_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    graph = str(tmp_path / "g.txt")
+    assert run_cli("gen", "--model", "complete", "--n", "4", "--out", graph) == 0
+    assert run_cli("color", "--input", graph, "--output", str(tmp_path / "c.txt")) == 0
+    assert run_cli("verify", "--input", graph, "--coloring", str(tmp_path / "c.txt")) == 0
+    assert dict(os.environ) == before
 
 
 def test_usage_error_exit_code(capsys):

@@ -405,18 +405,17 @@ def test_vizing_color_chains_never_flag(monkeypatch):
 def test_first_fit_matches_sequential_scan():
     # Pass 1 of vizing_color: the bitset first fit must give the palette
     # scan's colors and misses on the same order, also past 63 colors and
-    # with a palette too small for the graph; the table filled from its
+    # with a palette too small for the graph; the state built from its
     # slots must pass the independent rescan.
     rng = rng_for(21)
     graphs = [random_graph(rng, max_n=60) for _ in range(30)] + [complete(70)]
     for g in graphs:
         for q in {g.max_degree + 1, max(1, g.max_degree // 2)}:
             order = array("i", rng.permutation(g.m).astype(np.int32).tobytes())
-            state = ColoringState(g, q)
-            misses = engine._first_fit(state, order)
+            slot, misses = engine._first_fit(g, q, order)
             colors, ref_misses = reference_first_fit(g, order, q)
-            assert list(state.slot) == colors and list(misses) == ref_misses
-            state.fill_missing()
+            assert list(slot) == colors and list(misses) == ref_misses
+            state = ColoringState.from_slots(g, q, slot)
             report = validate_proper(state)
             assert report.ok and report.blank_count == len(misses)
             assert state.colored_count == g.m - len(misses)

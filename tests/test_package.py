@@ -50,6 +50,15 @@ def test_verify_and_gen_load_only_what_they_run(tmp_path):
     assert "edgecolor.generators" in gen and not gen.intersection(_HEAVY)
 
 
+def test_importing_the_cli_loads_no_numpy():
+    # main() caps OpenBLAS's threads before numpy loads, so the import that
+    # precedes it must not load numpy.
+    code = "import sys, edgecolor.cli\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["False"]
+
+
 def compiled_after(argv, cwd):
     """How many patterns each of fileio's pattern builders has compiled in a
     fresh interpreter that runs ``cli_main(argv)``."""

@@ -15,6 +15,7 @@ from edgecolor import (
     flagged_subgraph,
     validate_proper,
 )
+from edgecolor import state as state_mod
 from edgecolor.generators import complete
 from edgecolor.state import BLANK, FLAGGED, NO_EDGE
 
@@ -273,12 +274,14 @@ def test_random_partial_states_validate(subtests=None):
         assert validate_proper(st).ok
 
 
-def test_fill_missing_rebuilds_the_table_from_the_slots():
+def test_from_slots_builds_the_table_from_the_slots(monkeypatch):
+    # Rows are cut from one array per _ROW_BLOCK vertices; at 7, most graphs
+    # span several blocks, the last one short.
     rng = rng_for(56)
-    for _ in range(25):
-        g = random_graph(rng)
-        st = random_partial_state(g, g.max_degree + 2, rng)
-        fresh = ColoringState(g, st.q)
-        fresh.slot[:] = st.slot
-        fresh.fill_missing()
-        assert fresh.missing == st.missing and fresh.colored_count == st.colored_count
+    for block in (state_mod._ROW_BLOCK, 7):
+        monkeypatch.setattr(state_mod, "_ROW_BLOCK", block)
+        for g in [random_graph(rng) for _ in range(25)] + [build_graph([], 5)]:
+            st = random_partial_state(g, g.max_degree + 2, rng)
+            fresh = ColoringState.from_slots(g, st.q, array("i", st.slot))
+            assert fresh.missing == st.missing and fresh.colored_count == st.colored_count
+            assert fresh.flagged_count == st.flagged_count and fresh.slot == st.slot
