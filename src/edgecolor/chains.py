@@ -129,6 +129,9 @@ def _make_fan_core(miss, eu, ev, e, x, colors, first_eta=0):
     when ``miss[z][c] < 0``, else ``miss[z][c]`` is the edge holding it.
     Each frontier leaf takes the first color of ``colors`` missing there, in
     the given order; duplicates are tolerated (a repeat never comes first).
+    A ``range`` of step 1 marks an ascending run of colors, as vizing_color's
+    full palette: the leaf then takes its lowest missing color in it by
+    ``row.index``, which scans in C.
     ``first_eta``, when nonzero, is the already-computed first color missing
     at the far endpoint of e, so the first frontier scan can be skipped.
     Returns (leaves, leaf_eids, alpha, j) or None on failure.  j is 1-based:
@@ -142,14 +145,24 @@ def _make_fan_core(miss, eu, ev, e, x, colors, first_eta=0):
     z = y
     c = first_eta
     leaf_pos = None  # built once the fan is long enough that list scans hurt
+    lo = hi = 0
+    if type(colors) is range and colors.step == 1:
+        lo = colors.start
+        hi = colors.stop
     while True:
         if not c:
             mz = miss[z]
-            for c in colors:
-                if mz[c] < 0:
-                    break
+            if lo:
+                try:
+                    c = mz.index(NO_EDGE, lo, hi)
+                except ValueError:
+                    return None
             else:
-                return None
+                for c in colors:
+                    if mz[c] < 0:
+                        break
+                else:
+                    return None
         weid = mx[c]
         if weid < 0:
             return leaves, leaf_eids, c, len(leaves)

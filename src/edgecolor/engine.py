@@ -444,7 +444,8 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     only the slots (see _first_fit); the state and its edge-id table are
     then built from them in one go.  The second colors each edge that found
     no free color, in the same order, with the stage-1 chain routine over the
-    full palette and no path cap.  Every vertex then misses some color, so
+    full palette, passed as a range so each fan leaf finds its lowest missing
+    color in C, and no path cap.  Every vertex then misses some color, so
     neither a fan nor a pivot can fail and no edge is flagged.
     ``stats.path_hist`` counts the first-fit edges at length 0.
     """
@@ -457,7 +458,7 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     slot, misses = _first_fit(g, q, order)
     del order
     state = ColoringState.from_slots(g, q, slot)
-    palette = list(range(1, q + 1))
+    palette = range(1, q + 1)
     path_counts = Counter()
     raw = _color_one_raw
     for e in misses:
@@ -476,8 +477,9 @@ def _first_fit(g: Graph, q: int, order) -> tuple[array, array]:
 
     The colors used at each vertex are one Python int, bit c - 1 for color
     c, so the lowest color free at both ends of u-v is the lowest zero bit
-    of used[u] | used[v].  No edge-id table is kept; see
-    ColoringState.from_slots.
+    of used[u] | used[v].  No edge-id table is kept here:
+    ColoringState.from_slots writes it from the slots into one flat array,
+    and the chains that color the misses then make only the rows they touch.
     """
     slot = array("i", [BLANK]) * g.m
     eu = g.edge_u

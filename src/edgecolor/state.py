@@ -13,8 +13,20 @@ at x).  This one table answers both per-vertex questions the colorer asks,
 mutations are O(1); ``find_conflicts`` is the independent properness check,
 and ``validate_proper`` takes its verdict from it, never from this table.
 
-A ColoringState has a single writer; distinct states may be driven from
-different threads concurrently.
+``ColoringState(g, q)`` keeps ``missing`` as a list of n rows, each an
+``array("i")`` of q + 1 entries.  Stage 1 touches every row, and CPython
+3.11 specializes a list index in its hot loop, but not a lookup in a dict
+subclass.  ``ColoringState.from_slots`` writes the whole table into one flat
+``array("i")`` and makes a vertex's row only on first touch: its ``missing``
+is a dict that cuts row x from the flat table the first time ``missing[x]``
+is read, and raises IndexError outside [0, n), as the list does for x >= n.
+The Vizing chains that run on such a state touch a small share of the rows.
+``edge_id_table()`` reads the full table from either container and makes no
+row.
+
+A ColoringState has a single writer, and on a ``from_slots`` state a read
+of ``missing`` is a write too, since it can insert a row.  Distinct states
+may be driven from different threads concurrently.
 """
 
 from __future__ import annotations
@@ -32,9 +44,28 @@ BLANK = 0
 FLAGGED = -1
 NO_EDGE = -1
 
-# Edges per scatter, and vertices per block of rows, of ColoringState.from_slots.
+# Edges per scatter of ColoringState.from_slots.
 _FILL_BLOCK = 1 << 14
-_ROW_BLOCK = 1 << 12
+
+
+class _RowsOnTouch(dict):
+    """A from_slots state's ``missing``: vertex -> edge-id row, each row cut
+    from the flat n * (q + 1) table the first time it is read.  From then on
+    the row, not the flat table, holds that vertex's entries."""
+
+    __slots__ = ("flat", "n", "width")
+
+    def __init__(self, flat: array, n: int, width: int):
+        self.flat = flat
+        self.n = n
+        self.width = width
+
+    def __missing__(self, x):
+        if not 0 <= x < self.n:
+            raise IndexError(f"vertex {x} outside [0, {self.n})")
+        w = self.width
+        row = self[x] = self.flat[x * w:(x + 1) * w]
+        return row
 
 
 class ColoringState:
@@ -116,10 +147,11 @@ class ColoringState:
         ``slot`` (kept, not copied), as vizing_color's first pass writes it;
         the colored slots must be proper and at most q.
 
-        The edge-id table is built once: the ids are scattered into one numpy
-        table, _FILL_BLOCK edges at a time so no temporary is the size of the
-        graph, and the rows are cut from one array per _ROW_BLOCK vertices, so
-        no second copy of the whole table exists.
+        The edge ids are scattered, _FILL_BLOCK edges at a time so no
+        temporary is the size of the graph, through a numpy view straight
+        into one flat ``array("i")`` of n * (q + 1) entries, so no second
+        copy of the table exists.  ``missing`` cuts each vertex's row from
+        it on first touch (see _RowsOnTouch).
         """
         self = cls.__new__(cls)
         self.graph = graph
@@ -127,7 +159,9 @@ class ColoringState:
         self.slot = slot
         slots = np.frombuffer(slot, dtype=np.intc)
         eu, ev = endpoint_views(graph)
-        table = np.full((graph.n, q + 1), NO_EDGE, dtype=np.intc)
+        width = q + 1
+        flat = array("i", [NO_EDGE]) * (graph.n * width)
+        table = np.frombuffer(flat, dtype=np.intc).reshape(graph.n, width)
         for lo in range(0, graph.m, _FILL_BLOCK):
             hi = min(lo + _FILL_BLOCK, graph.m)
             color = np.maximum(slots[lo:hi], 0)  # blank and flagged slots land in column 0
@@ -135,19 +169,26 @@ class ColoringState:
             table[eu[lo:hi], color] = ids
             table[ev[lo:hi], color] = ids
         table[:, 0] = NO_EDGE
-        width = q + 1
-        self.missing = []
-        for lo in range(0, graph.n, _ROW_BLOCK):
-            flat = array("i")
-            flat.frombytes(memoryview(table[lo:lo + _ROW_BLOCK]).cast("B"))
-            starts = range(0, len(flat), width)
-            rows = map(slice, starts, range(width, len(flat) + width, width))
-            self.missing.extend(map(flat.__getitem__, rows))
+        self.missing = _RowsOnTouch(flat, graph.n, width)
         self.colored_count = int(np.count_nonzero(slots > 0))
         self.flagged_count = int(np.count_nonzero(slots == FLAGGED))
         return self
 
     # -- derived views ---------------------------------------------------
+
+    def edge_id_table(self) -> np.ndarray:
+        """The (n, q + 1) edge-id table as a numpy copy, from either kind of
+        ``missing``; makes no row.  On a from_slots state the rows made so
+        far are laid over a copy of the flat table."""
+        shape = (self.graph.n, self.q + 1)
+        miss = self.missing
+        if type(miss) is list:
+            return np.frombuffer(b"".join(miss), dtype=np.intc).reshape(shape)
+        table = np.frombuffer(miss.flat, dtype=np.intc).reshape(shape).copy()
+        if miss:
+            at = np.fromiter(miss.keys(), dtype=np.intp, count=len(miss))
+            table[at] = np.frombuffer(b"".join(miss.values()), dtype=np.intc).reshape(-1, shape[1])
+        return table
 
     def flagged_edges(self) -> list[int]:
         return np.flatnonzero(np.asarray(self.slot) == FLAGGED).tolist()
@@ -250,7 +291,7 @@ def validate_proper(state: ColoringState, graph: Graph | None = None) -> Validat
         at = ends[colored]
         np.minimum.at(expected, (at, slot[colored]), colored)
     expected[expected == len(slot)] = NO_EDGE
-    table = np.frombuffer(b"".join(state.missing), dtype=np.intc).reshape(g.n, q + 1)
+    table = state.edge_id_table()
     for x, c in np.argwhere(table != expected).tolist():
         if expected[x, c] >= 0:
             report.table_errors.append(

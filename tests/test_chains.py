@@ -84,6 +84,30 @@ def test_make_fan_length_bound():
             assert st.is_missing(out.fan.leaves[out.index - 1], out.color)
 
 
+def test_make_fan_over_a_range_matches_the_list_scan():
+    # A step-1 range takes each leaf's lowest missing color by row.index;
+    # the list scan of the same colors is the reference.  Short runs make
+    # fans fail, and a step-2 range must take the scan.
+    rng = rng_for(12)
+    fails = 0
+    for _ in range(200):
+        g = random_graph(rng)
+        q = g.max_degree + 1
+        st = random_partial_state(g, q, rng, fill=0.8, flag_frac=0.0)
+        blanks = [e for e, c in enumerate(st.slot) if c == BLANK]
+        if not blanks:
+            continue
+        e = blanks[int(rng.integers(0, len(blanks)))]
+        x = (g.edge_u[e], g.edge_v[e])[int(rng.integers(0, 2))]
+        lo = int(rng.integers(1, q + 1))
+        hi = int(rng.integers(lo + 1, q + 2))
+        for colors in (range(1, q + 1), range(lo, hi), range(lo, hi, 2)):
+            out = make_fan(st, e, x, colors)
+            assert out == make_fan(st, e, x, list(colors)), (colors, e, x)
+            fails += out is None
+    assert fails
+
+
 def test_make_fan_long_fan_revisit():
     # Force a 14-leaf fan whose last frontier points back at the leaf added
     # right when the membership index is built; the leaves must stay distinct

@@ -664,11 +664,13 @@ def test_run_full_empty_graph_makes_no_fallback():
     assert list(st.slot) == [] and not stats.fallback_used and stats.restarts_used == 0
 
 
-@pytest.mark.parametrize("n, d, bound", [(1000, 40, 120), (10000, 4, 96)])
+@pytest.mark.parametrize("n, d, bound", [(1000, 40, 120), (10000, 4, 48)])
 def test_run_full_peak_memory_per_edge(n, d, bound):
     # m = 20k.  Stage 1 (d=40) and the Vizing fallback (d=4) keep their
-    # per-edge scratch in typed arrays: tracemalloc peak 49.7 and 76.4 B/edge
-    # here, against 150.6 and 116.0 with a Python int object per edge.
+    # per-edge scratch in typed arrays: tracemalloc peak 46.6 and 33.8 B/edge
+    # here, against 150.6 and 116.0 with a Python int object per edge.  The
+    # fallback makes only the edge-id rows its chains touch (77.3 B/edge
+    # with one row per vertex).
     g = random_regular(n, d, rng_for(0))
     (_, stats), _, peak = traced_memory(run_full, g, RunConfig(epsilon=0.5))
     assert stats.fallback_used == (d == 4)

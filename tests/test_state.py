@@ -15,8 +15,8 @@ from edgecolor import (
     flagged_subgraph,
     validate_proper,
 )
-from edgecolor import state as state_mod
-from edgecolor.generators import complete
+from edgecolor.engine import vizing_color
+from edgecolor.generators import complete, random_regular
 from edgecolor.state import BLANK, FLAGGED, NO_EDGE
 
 from helpers import dom_and_flg, random_graph, random_partial_state, reference_conflicts, rng_for
@@ -274,14 +274,58 @@ def test_random_partial_states_validate(subtests=None):
         assert validate_proper(st).ok
 
 
-def test_from_slots_builds_the_table_from_the_slots(monkeypatch):
-    # Rows are cut from one array per _ROW_BLOCK vertices; at 7, most graphs
-    # span several blocks, the last one short.
+def test_from_slots_builds_the_table_from_the_slots():
+    # Full tables are compared through edge_id_table, which counts the rows
+    # not yet made as well as the made ones, before any row is made, after
+    # writes through half of them, and once every row is made.
     rng = rng_for(56)
-    for block in (state_mod._ROW_BLOCK, 7):
-        monkeypatch.setattr(state_mod, "_ROW_BLOCK", block)
-        for g in [random_graph(rng) for _ in range(25)] + [build_graph([], 5)]:
-            st = random_partial_state(g, g.max_degree + 2, rng)
-            fresh = ColoringState.from_slots(g, st.q, array("i", st.slot))
-            assert fresh.missing == st.missing and fresh.colored_count == st.colored_count
-            assert fresh.flagged_count == st.flagged_count and fresh.slot == st.slot
+    for g in [random_graph(rng) for _ in range(25)] + [build_graph([], 5)]:
+        st = random_partial_state(g, g.max_degree + 2, rng)
+        fresh = ColoringState.from_slots(g, st.q, array("i", st.slot))
+        assert np.array_equal(fresh.edge_id_table(), st.edge_id_table())
+        assert fresh.colored_count == st.colored_count
+        assert fresh.flagged_count == st.flagged_count and fresh.slot == st.slot
+        for e in range(0, g.m, 2):
+            if st.slot[e] > 0:
+                st.unassign(e)
+                fresh.unassign(e)
+        assert np.array_equal(fresh.edge_id_table(), st.edge_id_table())
+        assert [fresh.missing[x] for x in range(g.n)] == st.missing
+        assert np.array_equal(fresh.edge_id_table(), st.edge_id_table())
+        assert validate_proper(fresh).ok
+
+
+def test_from_slots_makes_only_the_rows_the_chains_touch():
+    g = random_regular(10000, 4, rng_for(57))
+    st = vizing_color(g, rng_for(58))
+    made = len(st.missing)
+    assert 0 < made < g.n / 2
+    table = st.edge_id_table()
+    assert table.shape == (g.n, st.q + 1)
+    report = validate_proper(st)
+    assert report.ok and report.colored_count == g.m
+    assert len(st.missing) == made
+
+
+def test_rows_outside_the_vertex_range_raise_index_error():
+    g = triangle()
+    slot = array("i", [1, 2, 3])
+    for st in (ColoringState(g, 3), ColoringState.from_slots(g, 3, slot)):
+        with pytest.raises(IndexError):
+            st.missing[g.n]
+    lazy = ColoringState.from_slots(g, 3, slot).missing
+    with pytest.raises(IndexError):
+        lazy[-1]
+    assert len(lazy) == 0
+
+
+def test_validate_detects_corruption_in_made_and_unmade_rows():
+    st = ColoringState.from_slots(triangle(), 3, array("i", [1, 2, 0]))
+    st.missing.flat[2 * 4 + 3] = 1  # vertex 2's row is not made yet
+    assert validate_proper(st).table_errors == [
+        "missing[2][3] = 1, but no edge of color 3 is at vertex 2"
+    ]
+    st.missing[2][3] = NO_EDGE  # makes vertex 2's row from the corrupt entry, then mends it
+    assert validate_proper(st).ok
+    st.missing[0][1] = NO_EDGE
+    assert not validate_proper(st).ok
