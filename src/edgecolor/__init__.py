@@ -20,7 +20,7 @@ _HOMES = {
         "greedy_color", "run_full", "sample_palette", "vizing_color",
     ),
     "errors": (
-        "AlreadyColored", "ColoringFailed", "EdgeColorError", "EdgeNotBlank", "EmptyPool",
+        "AlreadyColored", "ColoringFailed", "EdgeColorError", "EmptyPool",
         "ImproperAssignment", "ImproperAugment", "ImproperFlip", "ImproperShift",
         "InsufficientColors", "InvalidSpec", "MalformedInput", "NotColored",
         "RejectionExhausted", "TooLarge",
@@ -30,7 +30,7 @@ _HOMES = {
     "oracle": ("OracleResult", "brute_chromatic_index", "check_extension_exists"),
     "state": (
         "BLANK", "FLAGGED", "ColoringState", "ValidationReport", "find_conflicts",
-        "flagged_subgraph", "validate_proper",
+        "validate_proper",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .errors import (
     AlreadyColored,
-    EdgeNotBlank,
     ImproperAssignment,
     ImproperAugment,
     ImproperFlip,
@@ -318,7 +317,7 @@ def make_fan(state: ColoringState, e: int, x: int, colors) -> FanResult | None:
     """
     g = state.graph
     if state.slot[e] != BLANK:
-        raise EdgeNotBlank(f"edge {e} is not blank")
+        raise AlreadyColored(f"edge {e} is not blank")
     if x not in (g.edge_u[e], g.edge_v[e]):
         raise ValueError(f"vertex {x} is not an endpoint of edge {e}")
     _check_color_list(state, colors)

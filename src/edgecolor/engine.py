@@ -6,11 +6,12 @@ from the first missing at the far end, grown into a Vizing chain.  When a
 chain's path hits the length cap, the blank edge is shifted to a random point
 along the path and the attempt continues with a fresh, disjoint palette.
 Edges whose attempts fail are flagged.  Stage 2 greedy-colors the flagged
-subgraph with a disjoint block of colors.  A run fails when the flagged
-subgraph is too dense for the stage-2 budget.  run_full restarts failed runs
-and, when every attempt failed or epsilon*Delta/6 < 1, falls back to
-vizing_color, which colors the whole graph with Delta + 1 colors: a first
-fit over per-vertex bitsets, then Vizing chains for the edges it missed.
+edges in place, from the block of colors above stage 1's.  A run fails when
+the flagged subgraph is too dense for the stage-2 budget.  run_full restarts
+failed runs and, when every attempt failed or epsilon*Delta/6 < 1, falls
+back to vizing_color, which colors the whole graph with Delta + 1 colors: a
+first fit over per-vertex bitsets, then Vizing chains for the edges it
+missed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .chains import _augment_core, _follow_core, _make_fan_core
 from .errors import AlreadyColored, ColoringFailed, EmptyPool, ImproperAugment, InsufficientColors
 from .graph import Graph
-from .state import BLANK, ColoringState, flagged_subgraph
+from .state import BLANK, ColoringState
 
 
 def _ceil(value: float) -> int:
@@ -388,9 +389,9 @@ def color_one(
 def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) -> ColoringState:
     """Color every edge by redrawing uniform colors until one fits.
 
-    Stage 2 colors the flagged subgraph with it.  Requires
-    num_colors >= 2 * max_degree - 1 so a draw always can succeed; each draw
-    then fits with probability at least
+    The loop is _greedy's, which stage 2 runs over the flagged edges of the
+    stage-1 state.  Requires num_colors >= 2 * max_degree - 1 so a draw
+    always can succeed; each draw then fits with probability at least
     (num_colors - 2*max_degree + 2) / num_colors.
     """
     delta = g.max_degree
@@ -399,21 +400,30 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
             f"{num_colors} colors < 2*{delta} - 1 required by the greedy guarantee"
         )
     state = ColoringState(g, max(1, num_colors))
+    _greedy(state, range(g.m), 0, num_colors, rng, stats)
+    return state
+
+
+def _greedy(state: ColoringState, edges, offset: int, num_colors: int, rng, stats) -> None:
+    """Give each blank or flagged edge of ``edges``, in turn, the first of a
+    stream of uniform draws from [offset + 1, offset + num_colors] free at
+    both endpoints.  The draws come in blocks of 1024, part of the RNG
+    stream.  Counts the edges as colored; a caller that passes flagged
+    edges settles flagged_count.
+    """
     miss = state.missing
     slot = state.slot
-    eu = g.edge_u
-    ev = g.edge_v
+    eu = state.graph.edge_u
+    ev = state.graph.edge_v
     draws = 0
     buf: list[int] = []
     cursor = 0
-    for e in range(g.m):
-        u = eu[e]
-        v = ev[e]
-        mu = miss[u]
-        mv = miss[v]
+    for e in edges:
+        mu = miss[eu[e]]
+        mv = miss[ev[e]]
         while True:
             if cursor == len(buf):
-                buf = rng.integers(1, num_colors + 1, size=1024).tolist()
+                buf = rng.integers(offset + 1, offset + num_colors + 1, size=1024).tolist()
                 cursor = 0
             c = buf[cursor]
             cursor += 1
@@ -422,13 +432,12 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
                 slot[e] = c
                 mu[c] = e
                 mv[c] = e
-                state.colored_count += 1
                 break
+    state.colored_count += len(edges)
     if stats is not None:
         stats.greedy_colors = num_colors
-        stats.greedy_edges += g.m
+        stats.greedy_edges += len(edges)
         stats.greedy_draws += draws
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +520,9 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     Raises ColoringFailed as soon as a flag pushes the flagged subgraph's
     degree past epsilon*Delta/6: flags are never lifted in stage 1, so the
     attempt is already lost, and the caller may retry with fresh randomness
-    (see run_full).  On success the returned state has no blank and no
-    flagged edges.
+    (see run_full).  Stage 2 colors the flagged edges in the same state;
+    the flagged subgraph's max degree is tracked as stage 1 flags edges.  On
+    success the returned state has no blank and no flagged edges.
     """
     cfg.check()
     if rng is None:
@@ -546,6 +556,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     path_counts = [0] * (min(ell, g.n - 1) + 1)  # a simple path has at most n - 1 edges
     iter_counts = [0] * (min(rounds, q1) + 1)  # each later round drops >= 1 of q1 colors
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
+    dstar = 0  # its max degree so far
     raw = _color_one_raw
     # Round-1 colors: i.i.d. uniform draws from [1, q1], read in order from
     # ``cur``.  An edge's sample is the kappa draws from there on, but first
@@ -591,6 +602,7 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
             flag_degree[fu] += 1
             flag_degree[fv] += 1
             worst = max(flag_degree[fu], flag_degree[fv])
+            dstar = max(dstar, worst)
             if worst > bound:
                 _stage1_stats(stats, state, t0, path_counts, iter_counts, fast)
                 stats.delta_gstar = worst
@@ -603,16 +615,17 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     _check(state.colored_count + state.flagged_count == m, "colored + flagged == m")
     _check(stats.flags_total == state.flagged_count, "flag reasons add up to flagged_count")
 
+    # Stage 2: the flagged edges, in ascending id order, take colors q1 + c,
+    # c in [1, 3 * dstar]; stage 1 wrote no color above q1.
     t1 = time.perf_counter_ns()
     if state.flagged_count:
-        gstar, dstar = flagged_subgraph(state, g)
         stats.delta_gstar = dstar
         q2 = 3 * dstar
         _check(q1 + q2 <= q_cap, f"q1 + q2 = {q1} + {q2} <= q_cap = {q_cap}")
-        sub = greedy_color(gstar, q2, rng, stats=stats)
-        for i, e in enumerate(state.flagged_edges()):
-            state._unflag(e)
-            state.assign(e, q1 + sub.slot[i])
+        flagged = state.flagged_edges()
+        _greedy(state, flagged, q1, q2, rng, stats)
+        state.flagged_count -= len(flagged)
+    _check(state.colored_count == m and state.flagged_count == 0, "every edge colored, none flagged")
     stats.stage2_us = (time.perf_counter_ns() - t1) // 1000
     stats.max_color_used = state.max_color_used()
     _check(stats.max_color_used <= q_cap, f"max color {stats.max_color_used} <= q_cap = {q_cap}")

@@ -17,10 +17,6 @@ class NotColored(EdgeColorError):
     """Operation requires a colored edge but the slot is blank or flagged."""
 
 
-class EdgeNotBlank(EdgeColorError):
-    """Chain construction was asked to start from a non-blank edge."""
-
-
 class ImproperAssignment(EdgeColorError):
     """Assigning this color would break properness at an endpoint."""
 

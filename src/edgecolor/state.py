@@ -38,7 +38,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import AlreadyColored, ImproperAssignment, NotColored
-from .graph import Graph, build_graph, endpoint_views
+from .graph import Graph, endpoint_views
 
 BLANK = 0
 FLAGGED = -1
@@ -133,13 +133,6 @@ class ColoringState:
             raise AlreadyColored(f"edge {e} is not blank (slot={self.slot[e]})")
         self.slot[e] = FLAGGED
         self.flagged_count += 1
-
-    def _unflag(self, e: int) -> None:
-        # Second-stage plumbing: return a flagged edge to the blank pool.
-        if self.slot[e] != FLAGGED:
-            raise NotColored(f"edge {e} is not flagged (slot={self.slot[e]})")
-        self.slot[e] = BLANK
-        self.flagged_count -= 1
 
     @classmethod
     def from_slots(cls, graph: Graph, q: int, slot: array) -> ColoringState:
@@ -263,14 +256,14 @@ def find_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:
                     vertex[at].tolist(), color[at].tolist()))
 
 
-def validate_proper(state: ColoringState, graph: Graph | None = None) -> ValidationReport:
+def validate_proper(state: ColoringState) -> ValidationReport:
     """Full rescan of the slots and the edge-id table; the package's independent checker.
 
     The properness verdict is ``find_conflicts`` over the slot array, so a
     corrupted ``missing`` table cannot mask a conflict.  The table is then
     cross-checked against the slots in both directions.
     """
-    g = graph if graph is not None else state.graph
+    g = state.graph
     q = state.q
     slot = np.asarray(state.slot, dtype=np.int64)
     report = ValidationReport(conflicts=find_conflicts(g, slot))
@@ -311,12 +304,3 @@ def validate_proper(state: ColoringState, graph: Graph | None = None) -> Validat
             f"flagged_count={state.flagged_count}, rescan found {report.flagged_count}"
         )
     return report
-
-
-def flagged_subgraph(state: ColoringState, graph: Graph | None = None) -> tuple[Graph, int]:
-    """The subgraph induced by flagged edges, on the same vertex set, plus its max degree."""
-    g = graph if graph is not None else state.graph
-    ids = state.flagged_edges()
-    eu, ev = endpoint_views(g)
-    sub = build_graph(np.stack((eu[ids], ev[ids]), axis=1), g.n)
-    return sub, sub.max_degree

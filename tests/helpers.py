@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 
-from edgecolor import ColoringState, Graph, build_graph
+from edgecolor import ColoringState, Graph, build_graph, greedy_color
 from edgecolor.errors import MalformedInput, RejectionExhausted
 from edgecolor.generators import _pairing, complete, complete_bipartite, gnp, hypercube
 from edgecolor.state import BLANK, FLAGGED
@@ -122,6 +122,18 @@ def reference_first_fit(g: Graph, order, q: int) -> tuple[list[int], list[int]]:
         else:
             misses.append(e)
     return colors, misses
+
+
+def reference_stage2(state: ColoringState, q1: int, rng) -> dict[int, int]:
+    """Stage 2 by way of a copy: G* built from the flagged pairs in ascending
+    id order, greedy-colored on a state of its own with 3 * max_degree
+    colors, then shifted above q1.  Returns the color per flagged edge id;
+    ``edge_color``'s in-place stage 2 must match it."""
+    g = state.graph
+    ids = state.flagged_edges()
+    gstar = build_graph([(g.edge_u[e], g.edge_v[e]) for e in ids], g.n)
+    sub = greedy_color(gstar, 3 * gstar.max_degree, rng)
+    return {e: q1 + c for e, c in zip(ids, sub.slot)}
 
 
 def reference_conflicts(g: Graph, colors) -> list[tuple[int, int, int, int]]:

@@ -1,6 +1,7 @@
 import pytest
 
 from edgecolor import (
+    AlreadyColored,
     AltPath,
     ChainFailure,
     ColoringState,
@@ -149,9 +150,7 @@ def test_make_fan_input_validation():
     with pytest.raises(ValueError):
         make_fan(st, 0, 1, [5])  # out of palette
     st.assign(0, 1)
-    from edgecolor import EdgeNotBlank
-
-    with pytest.raises(EdgeNotBlank):
+    with pytest.raises(AlreadyColored):
         make_fan(st, 0, 0, [2])
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import subprocess
@@ -13,6 +14,8 @@ from edgecolor import (
     ColoringState,
     EmptyPool,
     FlagReason,
+    GenSpec,
+    Graph,
     InsufficientColors,
     RunConfig,
     RunStats,
@@ -21,7 +24,7 @@ from edgecolor import (
     color_one,
     edge_color,
     engine,
-    flagged_subgraph,
+    generate,
     greedy_color,
     run_full,
     sample_palette,
@@ -37,6 +40,7 @@ from helpers import (
     random_graph,
     random_partial_state,
     reference_first_fit,
+    reference_stage2,
     rng_for,
     traced_memory,
 )
@@ -615,32 +619,79 @@ def test_failed_attempt_stops_at_first_flag_past_bound(monkeypatch):
     assert failures >= 4
 
 
-def test_success_reports_stage1_flagged_degree(monkeypatch):
-    seen = []
-
-    def spy(state, graph=None):
-        result = flagged_subgraph(state, graph)
-        seen.append((max(_flag_degrees(state)), result[1]))
-        return result
-
-    monkeypatch.setattr(engine, "flagged_subgraph", spy)
+def test_success_reports_stage1_flagged_degree():
+    # Stage 1 writes no color above q1, so the edges colored above it are
+    # exactly the flagged ones, and their max degree is delta_gstar.
     checked = 0
     for g, cfg in _ABORT_GRID[1:] + [(random_regular(400, 40, rng_for(2)), RunConfig(epsilon=0.5))]:
         bound = cfg.epsilon * g.max_degree / 6.0
         for seed in range(4):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-            seen.clear()
             try:
-                _, stats = edge_color(g, cfg, rng)
+                state, stats = edge_color(g, cfg, rng)
             except ColoringFailed:
                 continue
-            if not seen:
-                assert stats.flagged_count == stats.delta_gstar == 0
+            stage2 = [e for e in range(g.m) if state.slot[e] > stats.q1]
+            assert len(stage2) == stats.flagged_count == stats.greedy_edges
+            if not stage2:
+                assert stats.delta_gstar == 0
                 continue
             checked += 1
-            assert seen == [(stats.delta_gstar, stats.delta_gstar)]
+            degrees = [0] * g.n
+            for e in stage2:
+                degrees[g.edge_u[e]] += 1
+                degrees[g.edge_v[e]] += 1
+            assert max(degrees) == stats.delta_gstar
             assert 0 < stats.delta_gstar <= bound
+            assert stats.max_color_used <= stats.q1 + 3 * stats.delta_gstar
     assert checked >= 3
+
+
+# (graph, config, attempt seed) whose attempt succeeds with flagged edges; the
+# first three color the multiround-d60 golden graph, 320-335 edges in stage 2.
+_MULTIROUND = (generate(GenSpec("random_regular", n=200, d=60, seed=1)),
+               RunConfig(epsilon=0.9, kappa_const=1.0, ell_const=0.05, seed=3))
+_STAGE2_CASES = [
+    (*_MULTIROUND, 3),
+    (*_MULTIROUND, 0),
+    (*_MULTIROUND, 1),
+    (random_regular(200, 12, rng_for(1)), RunConfig(epsilon=0.5), 1),
+    (random_regular(400, 40, rng_for(2)), RunConfig(epsilon=0.5), 0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_STAGE2_CASES)))
+def test_stage2_in_place_matches_the_flagged_subgraph_route(monkeypatch, case):
+    g, cfg, seed = _STAGE2_CASES[case]
+    entry = []
+    real_greedy = engine._greedy
+
+    def spy(state, edges, offset, num_colors, rng, stats):
+        entry.append((copy.deepcopy(state), copy.deepcopy(rng)))
+        real_greedy(state, edges, offset, num_colors, rng, stats)
+
+    made = {"ColoringState": 0, "Graph": 0}
+
+    def counting(cls):
+        real_init = cls.__init__
+
+        def init(self, *args):
+            made[cls.__name__] += 1
+            real_init(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    counting(ColoringState)
+    counting(Graph)
+    monkeypatch.setattr(engine, "_greedy", spy)
+    state, stats = edge_color(g, cfg, rng_for((seed, 0)))
+    # One state, and no second graph: stage 2 colors the flagged edges in place.
+    assert made == {"ColoringState": 1, "Graph": 0}
+    monkeypatch.undo()
+    (before, rng), = entry
+    assert before.flagged_count == stats.flagged_count > 0
+    expected = reference_stage2(before, stats.q1, rng)
+    assert {e: state.slot[e] for e in expected} == expected
+    assert validate_proper(state).ok
 
 
 def test_run_full_keeps_restart_causes():
@@ -678,16 +729,23 @@ def test_run_full_peak_memory_per_edge(n, d, bound):
 
 
 _CONTRACT_UNDER_O = """
+import math
 import numpy as np
-from edgecolor import ImproperAugment, RunConfig, edge_color, engine
+from edgecolor import ImproperAugment, RunConfig, edge_color
 from edgecolor.generators import random_regular
 
-real = engine.flagged_subgraph
-engine.flagged_subgraph = lambda state, g: (real(state, g)[0], 1000)
+
+class Unbounded(RunConfig):
+    def flag_bound(self, delta):
+        return math.inf
+
+
 g = random_regular(400, 40, np.random.default_rng(np.random.SeedSequence(2)))
-# This attempt flags one edge, so stage 2 and its q1 + q2 check run.
+# No flag aborts this attempt, so its flagged subgraph outgrows the stage-2
+# block and the q1 + q2 check runs and fails.
 try:
-    edge_color(g, RunConfig(epsilon=0.5), np.random.default_rng(np.random.SeedSequence((0, 0))))
+    edge_color(g, Unbounded(epsilon=0.5, kappa_const=1.0),
+               np.random.default_rng(np.random.SeedSequence((0, 0))))
 except ImproperAugment as exc:
     print(exc)
 """
