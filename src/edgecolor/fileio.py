@@ -5,14 +5,20 @@ first-seen order; `#` starts a comment.  In coloring files, c = 0 marks an
 uncolored or flagged edge.
 
 Lines are what `str.splitlines` gives and tokens what `str.split` gives.
-Two readers give the same results and messages:
+The readers give the same results and messages on every path:
 
-* Integer texts, which are every file `edgecolor gen` and `edgecolor color`
-  write, are read by numpy.  A text qualifies when one regex match finds
-  only canonical decimal tokens (as `str(int)` writes them, at most 18
-  digits), spaces and tabs, LF or CRLF line ends and `#` comments; the
-  match tries each line first in the shape the writers give it (tokens
-  split by one space, a LF end), which is cheaper to match.
+* read_edge_list and read_coloring read a file as bytes and first try one
+  exact shape check for what `edgecolor gen` and `edgecolor color` write:
+  ``width`` canonical non-negative integers (as `str(int)` writes them,
+  below 10**18) per line, one space apart, each line ended by a LF.  The
+  check is a few whole-buffer C calls (_shaped_ints), and a text that
+  passes is parsed by the same np.fromstring call.  Any other file, or a
+  coloring whose label columns are not the graph's in edge-id order, is
+  decoded as text-mode `open` would read it and takes the path of
+  parse_edge_list and parse_coloring below.
+* Integer texts are read by numpy.  A text qualifies when one regex match
+  finds only canonical decimal tokens (at most 18 digits), spaces and tabs,
+  LF or CRLF line ends and `#` comments.
   Edge-list labels are ranked in a value-indexed table and returned as
   their int64 values; a coloring read against such a table is matched to
   edge ids by comparing its label columns with the graph's, or, for lines
@@ -73,15 +79,9 @@ _INT = r"(?:0|-?[1-9][0-9]{0,17}+)"
 def _int_lines_re(width: int) -> re.Pattern:
     """A pattern that matches a whole text iff it is canonical integers
     split by spaces and tabs, ``width`` per line (blank lines and `#`
-    comments allowed), with LF or CRLF line ends: the text numpy reads.
-
-    Each line is first tried as ``width`` tokens split by single spaces and
-    ended by a LF, the lines that gen and color write.  Any line that shape
-    matches, the general line matches too, up to the same LF, so the
-    texts accepted are the same; only the matcher's work per line drops."""
-    plain = " ".join([_INT] * width) + r"\n"
+    comments allowed), with LF or CRLF line ends: the text numpy reads."""
     line = rf"[ \t]*+(?:{_INT}(?:[ \t]++{_INT}){{{width - 1}}}[ \t]*+)?+(?:#[^{_EOL}]*+)?+"
-    return re.compile(rf"(?:{plain}|{line}\r?\n)*+{line}")
+    return re.compile(rf"(?:{line}\r?\n)*+{line}")
 
 
 def _ints(text: str) -> np.ndarray:
@@ -94,11 +94,45 @@ def _ints(text: str) -> np.ndarray:
     return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
-def _ranked(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Dense int32 ids in first-seen order for the int64 tokens ``vals``
-    (which this consumes), and the id -> label table: the distinct values.
-    None when their values span too wide a range for a table indexed by
-    value (at most 2 entries per token, plus 1024)."""
+def _shaped_ints(b: bytes, width: int) -> np.ndarray | None:
+    """The tokens of ``b`` as one int64 array if ``b`` is exactly what the
+    writers emit: ``width`` canonical non-negative integers below 10**18
+    per line, one space apart, each line ended by a LF.  None for any other
+    text.  No temporary is larger than ``b``."""
+    if not b:
+        return np.empty(0, dtype=np.int64)
+    if not b.endswith(b"\n"):  # else digits after it could stand in for an empty slot
+        return None
+    skeleton = b.translate(None, b"0123456789")  # any '-' stays and fails
+    k, odd = divmod(len(skeleton), width)
+    if odd or skeleton != (b" " * (width - 1) + b"\n") * k:
+        return None
+    del skeleton
+    vals = np.fromstring(b, dtype=np.int64, sep=" ")
+    # Each of the width * k separators ends one slot, and fromstring reads
+    # each non-empty digit run as one value (saturating past int64), so
+    # width * k values mean no slot is empty.  Counted up to 18, each
+    # value's digits fill its run only if it has no leading zero and at
+    # most 18 digits; the counts plus the separators must fill b.
+    if len(vals) != width * k:
+        return None
+    filled = 2 * len(vals)  # a separator and a first digit per token
+    for j in range(1, 18):
+        wide = np.count_nonzero(vals >= 10**j)
+        if not wide:
+            break
+        filled += wide
+    return vals if filled == len(b) else None
+
+
+def _int_edge_list(vals: np.ndarray | None) -> tuple[Graph, np.ndarray] | None:
+    """The graph and its id -> label table (the distinct values, int64) of
+    an integer edge list's tokens ``vals``, which this consumes; ids are
+    given in first-seen order.  None for None, or when the values span too
+    wide a range for a table indexed by value (at most 2 entries per token,
+    plus 1024)."""
+    if vals is None:
+        return None
     k = len(vals)
     lo, hi = (int(vals.min()), int(vals.max())) if k else (0, -1)
     span = hi - lo + 1
@@ -113,9 +147,9 @@ def _ranked(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     rank = np.empty(span, dtype=np.intc)
     rank[seen] = np.arange(len(seen), dtype=np.intc)
     ids = rank[vals]
-    del vals, rank
+    del vals, rank, firsts
     seen += lo
-    return ids, seen
+    return build_graph(ids.reshape(-1, 2), len(seen)), seen
 
 
 # Characters per str.split call.  Only one chunk's tokens are alive at
@@ -149,10 +183,9 @@ def _data_lines(text: str):
 
 def parse_edge_list(text: str) -> tuple[Graph, np.ndarray | list[str]]:
     """Parse edge-list text; returns the graph and its id -> label table, int64 or str."""
-    ranked = _ranked(_ints(text)) if _int_lines_re(2).fullmatch(text) is not None else None
-    if ranked is not None:
-        ids, labels = ranked
-        return build_graph(ids.reshape(-1, 2), len(labels)), labels
+    parsed = _int_edge_list(_ints(text)) if _int_lines_re(2).fullmatch(text) is not None else None
+    if parsed is not None:
+        return parsed
     if _lines_re(2).fullmatch(text) is None:
         for lineno, parts in _data_lines(text):
             if len(parts) != 2:
@@ -163,18 +196,32 @@ def parse_edge_list(text: str) -> tuple[Graph, np.ndarray | list[str]]:
     return build_graph(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), len(index)), list(index)
 
 
-def _read_text(path) -> str:
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decode(data: bytes, path) -> str:
+    """``data`` as text-mode `open` reads it: UTF-8, with universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInput(
             f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
         ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_edge_list(path) -> tuple[Graph, np.ndarray | list[str]]:
-    return parse_edge_list(_read_text(path))
+    data = _read_bytes(path)
+    parsed = _int_edge_list(_shaped_ints(data, 2))
+    if parsed is not None:
+        return parsed
+    text = _decode(data, path)
+    del data
+    return parse_edge_list(text)
 
 
 # Edges per string that the writers yield.  The integer writer makes no
@@ -320,38 +367,48 @@ def _colors_in_edge_order(text: str, g: Graph, labels: list[str]) -> list[int] |
 
 
 # Characters per np.fromstring call of _int_colors (~5k coloring lines), so
-# its peak is the text and the list of colors it returns.
+# its peak is the text and the colors it returns.
 _INT_CHARS = 1 << 16
 
 
-def _int_colors(text: str, lab: np.ndarray, g: Graph) -> list[int] | None:
-    """The colors of an integer coloring text, given the int64 label table
-    ``lab``; None unless its lines are the graph's edges, each once, with
-    colors >= 0.  A text in edge-id order is parsed and checked in pieces
-    of about _INT_CHARS characters; any other goes to _reordered_colors."""
+def _int_colors(data: bytes | str, lab: np.ndarray, g: Graph) -> np.ndarray | None:
+    """The colors of an integer coloring text as one int64 array, given the
+    int64 label table ``lab``; None unless its lines are the graph's edges,
+    each once, with colors >= 0.  The text is parsed and checked in pieces
+    of about _INT_CHARS characters, in edge-id order.  Each piece of a
+    bytes text must pass _shaped_ints, and a bytes text out of edge-id
+    order is refused.  A str text, which _int_lines_re(3) matched, goes to
+    _reordered_colors if it is out of order."""
     if len(lab) != g.n:
         return None
+    raw = isinstance(data, bytes)
     eu, ev = endpoint_views(g)
-    colors: list[int] = []
-    lo = 0
-    while lo < len(text):
-        hi = text.find("\n", lo + _INT_CHARS) + 1 or len(text)
-        rows = _ints(text[lo:hi]).reshape(-1, 3)
-        e = len(colors)
-        if not (np.array_equal(rows[:, 0], lab[eu[e:e + len(rows)]])
-                and np.array_equal(rows[:, 1], lab[ev[e:e + len(rows)]])):
+    colors = np.empty(g.m, dtype=np.int64)
+    e = lo = 0
+    while lo < len(data):
+        hi = data.find(b"\n" if raw else "\n", lo + _INT_CHARS) + 1 or len(data)
+        rows = _shaped_ints(data[lo:hi], 3) if raw else _ints(data[lo:hi])
+        if rows is None:
+            return None
+        rows = rows.reshape(-1, 3)
+        k = len(rows)
+        if not (np.array_equal(rows[:, 0], lab[eu[e:e + k]])
+                and np.array_equal(rows[:, 1], lab[ev[e:e + k]])):
             break
         if rows[:, 2].min(initial=0) < 0:
             return None
-        colors.extend(rows[:, 2].tolist())
+        colors[e:e + k] = rows[:, 2]
+        e += k
         lo = hi
     else:
-        return colors if len(colors) == g.m else None
+        return colors if e == g.m else None
+    if raw:
+        return None
     del colors, rows
-    return _reordered_colors(_ints(text).reshape(-1, 3), lab, g)
+    return _reordered_colors(_ints(data).reshape(-1, 3), lab, g)
 
 
-def _reordered_colors(rows: np.ndarray, lab: np.ndarray, g: Graph) -> list[int] | None:
+def _reordered_colors(rows: np.ndarray, lab: np.ndarray, g: Graph) -> np.ndarray | None:
     """_int_colors for (k, 3) int64 ``rows`` in any line order and
     orientation: labels and edges are found by binary search."""
     m, n = g.m, g.n
@@ -379,18 +436,11 @@ def _reordered_colors(rows: np.ndarray, lab: np.ndarray, g: Graph) -> list[int] 
     colors[by_key[at]] = rows[:, 2]
     if colors.min() < 0:
         return None  # a negative color, or an edge listed twice and so another missing
-    return colors.tolist()
+    return colors
 
 
-def parse_coloring(text: str, g: Graph, labels: np.ndarray | list[str]) -> list[int]:
-    """Read a coloring file back against a known graph.
-
-    Labels must resolve through the table parse_edge_list gave; every graph
-    edge must appear exactly once.  Returns colors indexed by edge id.  An
-    integer text read against an int64 table is read by numpy, chunk by
-    chunk in edge-id order, else by binary search; any other file in
-    edge-id order is read chunk by chunk as tokens, the rest line by line.
-    """
+def _coloring(text: str, g: Graph, labels: np.ndarray | list[str]) -> np.ndarray | list[int]:
+    """parse_coloring's colors, as an int64 array where numpy read them."""
     if isinstance(labels, np.ndarray):
         if labels.dtype == np.int64 and _int_lines_re(3).fullmatch(text) is not None:
             colors = _int_colors(text, labels, g)
@@ -436,5 +486,40 @@ def parse_coloring(text: str, g: Graph, labels: np.ndarray | list[str]) -> list[
     return colors
 
 
+def _as_list(colors: np.ndarray | list[int]) -> list[int]:
+    return colors.tolist() if isinstance(colors, np.ndarray) else colors
+
+
+def parse_coloring(text: str, g: Graph, labels: np.ndarray | list[str]) -> list[int]:
+    """Read a coloring file back against a known graph.
+
+    Labels must resolve through the table parse_edge_list gave; every graph
+    edge must appear exactly once.  Returns colors indexed by edge id.  An
+    integer text read against an int64 table is read by numpy, chunk by
+    chunk in edge-id order, else by binary search; any other file in
+    edge-id order is read chunk by chunk as tokens, the rest line by line.
+    """
+    return _as_list(_coloring(text, g, labels))
+
+
+def _read_coloring(path, g: Graph, labels: np.ndarray | list[str]) -> np.ndarray | list[int]:
+    """read_coloring's colors, as an int64 array where numpy read them.  A
+    file that _shaped_ints passes chunk by chunk, read against an int64
+    table in edge-id order, is never decoded."""
+    data = _read_bytes(path)
+    if isinstance(labels, np.ndarray) and labels.dtype == np.int64:
+        colors = _int_colors(data, labels, g)
+        if colors is not None:
+            return colors
+    text = _decode(data, path)
+    del data
+    return _coloring(text, g, labels)
+
+
+def read_colors(path, g: Graph, labels: np.ndarray | list[str]) -> np.ndarray:
+    """The colors read_coloring reads, as one int64 array."""
+    return np.asarray(_read_coloring(path, g, labels), dtype=np.int64)
+
+
 def read_coloring(path, g: Graph, labels: np.ndarray | list[str]) -> list[int]:
-    return parse_coloring(_read_text(path), g, labels)
+    return _as_list(_read_coloring(path, g, labels))

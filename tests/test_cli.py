@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import os
@@ -29,6 +30,7 @@ def _blas_threads_seen_by_main(monkeypatch):
     with pytest.raises(SystemExit) as exit_info:
         cli.main()
     assert exit_info.value.code == 0
+    assert gc.get_freeze_count() == 0  # the freeze waits for the interpreter's exit
     return seen
 
 
@@ -47,6 +49,43 @@ def test_cli_main_leaves_the_environment_alone(tmp_path, monkeypatch, capsys):
     assert run_cli("color", "--input", graph, "--output", str(tmp_path / "c.txt")) == 0
     assert run_cli("verify", "--input", graph, "--coloring", str(tmp_path / "c.txt")) == 0
     assert dict(os.environ) == before
+    assert gc.get_freeze_count() == 0
+
+
+def test_main_freezes_the_collector_only_at_exit():
+    # The collector runs as usual during the command; gc.freeze runs as the
+    # interpreter exits (before a hook registered ahead of main()'s own).
+    code = ("import atexit, gc, sys\n"
+            "from edgecolor import cli\n"
+            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+            "def spy(args):\n"
+            "    print('in command', gc.isenabled(), gc.get_freeze_count())\n"
+            "    return 0\n"
+            "cli._COMMANDS['gen'] = spy\n"
+            "sys.argv = ['edgecolor', 'gen', '--model', 'complete', '--n', '4']\n"
+            "cli.main()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.splitlines()) == (0, ["in command True 0", "at exit True"])
+
+
+def test_verify_program_prints_and_exits_as_cli_main(tmp_path, monkeypatch, capsys):
+    # python -m edgecolor verify: 0 for OK, 1 for an improper coloring, 2 for
+    # a usage error, with the output cli_main gives in-process.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this width
+    graph, good, bad = (str(tmp_path / name) for name in ("g.txt", "c.txt", "bad.txt"))
+    assert run_cli("gen", "--model", "hypercube", "--dim", "4", "--out", graph) == 0
+    assert run_cli("color", "--input", graph, "--seed", "3", "--output", good) == 0
+    lines = (tmp_path / "c.txt").read_text().splitlines()
+    (tmp_path / "bad.txt").write_text("".join(line.rsplit(" ", 1)[0] + " 1\n" for line in lines))
+    for argv, code in ((["verify", "--input", graph, "--coloring", good], 0),
+                       (["verify", "--input", graph, "--coloring", bad], 1),
+                       (["verify", "--input", graph], 2)):
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        expected = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "edgecolor", *argv], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
 
 
 def test_usage_error_exit_code(capsys):

@@ -490,15 +490,6 @@ def int_path_reads(text, width):
     return fileio._int_lines_re(width).fullmatch(text) is not None
 
 
-def _general_int_lines_re(width):
-    """_int_lines_re without its writer-shaped first alternative."""
-    line = (rf"[ \t]*+(?:{fileio._INT}(?:[ \t]++{fileio._INT}){{{width - 1}}}[ \t]*+)?+"
-            rf"(?:#[^{fileio._EOL}]*+)?+")
-    return re.compile(rf"(?:{line}\r?\n)*+{line}")
-
-
-_GENERAL_INT_LINES = {w: _general_int_lines_re(w) for w in (2, 3)}
-
 # Tokens, gaps and line ends near the integer pattern's edges: canonical
 # and non-canonical integers, long tokens, runs of spaces and tabs, and
 # every line end it must tell apart.  Writer-shaped pieces come first and
@@ -523,14 +514,138 @@ def int_line_texts(draw, width):
     return "".join(lines)
 
 
-@given(st.sampled_from([2, 3]).flatmap(lambda w: st.tuples(int_line_texts(w), st.just(w))))
+@st.composite
+def shaped_texts(draw, width):
+    """Lines of ``width`` _INT_TOKENS, one space apart and ended by a LF:
+    the writers' layout, with tokens that the check must refuse in it, and
+    at times a token after the last LF."""
+    rows = draw(st.lists(st.lists(_INT_TOKENS, min_size=width, max_size=width), max_size=4))
+    return "".join(" ".join(row) + "\n" for row in rows) + draw(st.sampled_from(["", "", "7"]))
+
+
+@st.composite
+def writer_texts(draw):
+    """format_edge_list or format_coloring output, and its width, for a
+    random graph whose labels are its vertex ids (as gen writes them) or
+    int64 values in [0, 10**18) (as color writes an integer file's)."""
+    n = draw(st.integers(2, 12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = build_graph(draw(st.lists(st.sampled_from(possible), unique=True, max_size=20)), n)
+    labels = draw(st.none() | st.lists(st.integers(0, 10**18 - 1), min_size=n, max_size=n,
+                                       unique=True).map(np.array))
+    if draw(st.booleans()):
+        return format_edge_list(g, labels), 2
+    colors = draw(st.lists(st.integers(-1, 10**18 - 1), min_size=g.m, max_size=g.m))
+    return format_coloring(g, colors, labels), 3
+
+
+@given(st.one_of(st.sampled_from([2, 3]).flatmap(lambda w: st.tuples(
+    int_line_texts(w) | shaped_texts(w), st.just(w))), writer_texts()))
 @settings(max_examples=1000, deadline=None)
-def test_int_lines_accept_what_the_general_line_accepts(case):
+def test_shape_check_takes_only_what_the_integer_pattern_reads(case):
+    # Whatever the byte check takes, the integer pattern takes too, and its
+    # tokens are the ones _ints reads: the check only skips the match.
     text, width = case
-    # The writer-shaped alternative only saves the matcher work: a text is
-    # accepted with it iff it is accepted without it.
-    expected = _GENERAL_INT_LINES[width].fullmatch(text) is not None
-    assert (fileio._int_lines_re(width).fullmatch(text) is not None) == expected
+    vals = fileio._shaped_ints(text.encode(), width)
+    if vals is not None:
+        assert fileio._int_lines_re(width).fullmatch(text) is not None
+        assert vals.dtype == np.int64 and np.array_equal(vals, fileio._ints(text))
+
+
+@given(writer_texts())
+@settings(max_examples=200, deadline=None)
+def test_writer_output_passes_the_shape_check(case):
+    text, width = case
+    assert fileio._shaped_ints(text.encode(), width) is not None
+
+
+_OFF_SHAPE = ["007 7\n", "-0 1\n", "-3 1\n", "1 " + "9" * 19 + "\n", "1 " + "9" * 20 + "\n",
+              "1 1" + "0" * 18 + "\n", "1  2\n", " 1 2\n", "1 2 \n", "1 2\n\n3 4\n", "1 2\n3 4",
+              "1 \n3",
+              "1 2\r\n", "1\t2\n", "1 2 # c\n", "# c\n", "\n", " \n", "1 2\n3\n", "1 2 3\n"]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("text", _OFF_SHAPE)
+def test_shape_check_refuses_hand_made_text(text, width):
+    if width == 3:
+        text = text.replace("\n", " 1\n")
+    assert fileio._shaped_ints(text.encode(), width) is None
+
+
+def test_shape_check_reads_an_empty_file_as_no_tokens():
+    for width in (2, 3):
+        vals = fileio._shaped_ints(b"", width)
+        assert vals.dtype == np.int64 and len(vals) == 0
+
+
+def _read_outcome(read, *args):
+    """_outcome, plus the type of the label table or colors read."""
+    result = _outcome(read, *args)
+    if isinstance(result, str):
+        return result
+    found = read(*args)
+    return result, type(found[1] if isinstance(found, tuple) else found)
+
+
+def assert_file_reads_as_its_text(path):
+    """read_edge_list and read_coloring (against a str and an int64 table)
+    give what the parsers give for the text that text-mode open reads."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert _read_outcome(fileio.read_edge_list, path) == _read_outcome(parse_edge_list, text)
+    for graph in (_TRIANGLE_PLUS, _INT_GRAPH):
+        g, labels = parse_edge_list(graph)
+        assert _read_outcome(fileio.read_coloring, path, g, labels) == \
+            _read_outcome(parse_coloring, text, g, labels)
+
+
+@given(st.one_of(int_line_texts(2), int_line_texts(3), int_colorings(), lined_texts(3),
+                 writer_texts().map(lambda case: case[0])),
+       st.sampled_from([5, fileio._INT_CHARS]))
+@settings(max_examples=300, deadline=None)
+def test_files_read_as_their_text(tmp_path_factory, text, chars):
+    # CRs included: a file is read as bytes, and only the fallback decodes
+    # it, with the universal newlines of text-mode open.
+    path = tmp_path_factory.mktemp("read") / "f.txt"
+    path.write_bytes(text.encode())
+    with split_chars(chars):
+        assert_file_reads_as_its_text(path)
+
+
+@pytest.mark.parametrize("chars", [5, fileio._INT_CHARS])
+def test_writer_files_are_read_without_decoding(tmp_path, monkeypatch, chars):
+    # Every file gen and color write passes the shape check, chunk by chunk.
+    def refuse(data, path):
+        raise AssertionError(f"{path} was decoded")
+
+    rng = rng_for(11)
+    g = random_regular(600, 4, rng)
+    colors = rng.integers(1, 8, size=g.m)
+    write_edge_list(tmp_path / "g.txt", g)
+    with split_chars(chars), monkeypatch.context() as mp:
+        mp.setattr(fileio, "_decode", refuse)
+        h, labels = fileio.read_edge_list(tmp_path / "g.txt")
+        write_coloring(tmp_path / "c.txt", h, colors, labels)
+        read = fileio.read_colors(tmp_path / "c.txt", h, labels)
+        assert read.dtype == np.int64 and np.array_equal(read, colors)
+        assert fileio.read_coloring(tmp_path / "c.txt", h, labels) == colors.tolist()
+    assert isinstance(labels, np.ndarray) and labels.dtype == np.int64
+
+
+def test_reading_a_writer_coloring_peaks_below_its_text_and_colors(tmp_path):
+    # The bytes are the only copy of the text (2.5 MB here), and each 64 KiB
+    # chunk's temporaries (~0.4 MB, its int64 tokens the largest) are freed
+    # before the next: the peak is the text, the colors and one chunk's work.
+    # Decoding the text as well would add 2.5 MB.
+    rng = rng_for(12)
+    g = random_regular(50000, 8, rng)
+    path = tmp_path / "c.txt"
+    write_coloring(path, g, rng.integers(1, 10, size=g.m))
+    labels = np.arange(g.n)
+    colors, _, peak = traced_memory(fileio.read_colors, path, g, labels)
+    assert len(colors) == g.m == 200_000
+    assert peak < path.stat().st_size + colors.nbytes + (1 << 19)
 
 
 @pytest.mark.parametrize("text, numpy_reads", [
@@ -570,6 +685,15 @@ def test_integer_coloring_edge_cases_match_reference(text):
     g, labels = parse_edge_list(_INT_GRAPH)
     for table in (labels, str_labels(labels)):  # int64, str
         assert_coloring_matches_reference(text, g, table)
+
+
+@pytest.mark.parametrize("text", ["", _INT_GRAPH, _INT_COLORING, _INT_COLORING.replace("0 2 3", "2 0 3"),
+                                  _INT_GRAPH.replace("\n", "\r"), _INT_COLORING.replace("\n", "\r")]
+                         + _OFF_SHAPE + [t.replace("\n", " 1\n") for t in _OFF_SHAPE])
+def test_hand_made_files_read_as_their_text(tmp_path, text):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode())
+    assert_file_reads_as_its_text(path)
 
 
 @pytest.mark.parametrize("labels", [

@@ -72,14 +72,19 @@ def compiled_after(argv, cwd):
 
 
 def test_fileio_compiles_only_the_patterns_a_command_reads_with(tmp_path):
-    # gen writes a file and reads none; verify on the integer files gen and
-    # color write needs the integer patterns only, never the general ones.
+    # gen writes a file and reads none; verify on the files gen and color
+    # write takes the byte shape check and needs no pattern.  A hand-made
+    # integer file needs the integer pattern of its width only.
     assert compiled_after(["gen", "--model", "complete", "--n", "4", "--out", "k4.txt"],
                           tmp_path) == (0, 0)
     (tmp_path / "c.txt").write_text("0 1 1\n0 2 2\n0 3 3\n1 2 3\n1 3 2\n2 3 1\n",
                                     encoding="utf-8")
     assert compiled_after(["verify", "--input", "k4.txt", "--coloring", "c.txt"],
-                          tmp_path) == (0, 2)
+                          tmp_path) == (0, 0)
+    (tmp_path / "hand.txt").write_text("# by hand\n0 1 1\n0 2 2\n0 3 3\n1 2 3\n1 3 2\n2 3 1\n",
+                                       encoding="utf-8")
+    assert compiled_after(["verify", "--input", "k4.txt", "--coloring", "hand.txt"],
+                          tmp_path) == (0, 1)
 
 
 def test_star_import_and_submodules_resolve():
