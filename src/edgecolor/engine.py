@@ -9,9 +9,13 @@ Edges whose attempts fail are flagged.  Stage 2 greedy-colors the flagged
 edges in place, from the block of colors above stage 1's.  A run fails when
 the flagged subgraph is too dense for the stage-2 budget.  run_full restarts
 failed runs and, when every attempt failed or epsilon*Delta/6 < 1, falls
-back to vizing_color, which colors the whole graph with Delta + 1 colors: a
-first fit over per-vertex bitsets, then Vizing chains for the edges it
-missed.
+back to vizing_color, which colors the whole graph with Delta + 1 colors:
+first each edge, in one random order, takes the smallest color free at both
+ends, then Vizing chains color the edges that found none.  That first pass
+runs in rounds in numpy: a round takes every edge whose earlier edges at
+both ends are decided, so its result is the one-edge-at-a-time result, and
+a random order needs few rounds (19 on a random 4-regular graph with
+m = 200k).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .chains import _augment_core, _follow_core, _make_fan_core
 from .errors import AlreadyColored, ColoringFailed, EmptyPool, ImproperAugment, InsufficientColors
-from .graph import Graph
+from .graph import Graph, endpoint_views
 from .state import BLANK, ColoringState
 
 
@@ -58,6 +62,20 @@ class RunConfig:
     at least q1 * H(q1), the expected number of draws that see all q1
     colors, and more draws mostly repeat colors.  ell and rounds are clamped
     to 2**31 - 1, so a huge finite constant cannot overflow.
+
+    A color_one round that ends in a shift is followed by another only while
+    at least palette_floor = (1 + epsilon/100) * max_degree colors of [1, q1]
+    are still unsampled, and each round samples at least one new color.  So:
+
+    * FlagReason.MAX_ITERATIONS (every one of ``rounds`` rounds shifted)
+      needs rounds <= 1 + (q1 - palette_floor).  At the default constants
+      that holds only from max_degree 3305 on at epsilon 0.5 (7249 at 0.25,
+      20221 at 0.1); below, the palette floor ends every run of shifts first.
+    * At the default kappa_const and epsilon 0.5, round 1's kappa draws
+      leave fewer than palette_floor colors unsampled up to max_degree
+      ~145, so there every shift ends in a palette-floor flag
+      (max_degree 100: 37 draws leave ~93 of q1 = 125 colors, floor 100.5).
+      From 165 on, q1 - kappa >= palette_floor, and round 2 always runs.
 
     run_full makes up to 1 + max_restarts stage-1 attempts.  It colors the
     graph with max_degree + 1 colors by vizing_color instead when
@@ -448,15 +466,19 @@ def _greedy(state: ColoringState, edges, offset: int, num_colors: int, rng, stat
 def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     """Color every edge with at most max_degree + 1 colors (Vizing's theorem).
 
-    Two passes over one random edge order.  The first gives each edge the
-    smallest color in [1, max_degree + 1] free at both endpoints, writing
-    only the slots (see _first_fit); the state and its edge-id table are
-    then built from them in one go.  The second colors each edge that found
-    no free color, in the same order, with the stage-1 chain routine over the
-    full palette, passed as a range so each fan leaf finds its lowest missing
-    color in C, and no path cap.  Every vertex then misses some color, so
-    neither a fan nor a pivot can fail and no edge is flagged.
-    ``stats.path_hist`` counts the first-fit edges at length 0.
+    Two passes over one random edge order.  The first gives each edge, in
+    that order, the smallest color in [1, max_degree + 1] free at both
+    endpoints, and writes only the slots.  It is computed in rounds of
+    edges whose earlier neighbours are all decided, one numpy batch per
+    round (see _first_fit): 19 rounds on a random 4-regular graph with
+    m = 200k, ~400 on a 100-regular one.  The
+    state and its edge-id table are then built from the slots in one go.
+    The second pass colors each edge that found no free color, in the same
+    order, with the stage-1 chain routine over the full palette, passed as a
+    range so each fan leaf finds its lowest missing color in C, and no path
+    cap.  Every vertex then misses some color, so neither a fan nor a pivot
+    can fail and no edge is flagged.  ``stats.path_hist`` counts the
+    first-fit edges at length 0.
     """
     m = g.m
     q = g.max_degree + 1
@@ -484,29 +506,110 @@ def _first_fit(g: Graph, q: int, order) -> tuple[array, array]:
     free at both endpoints; return the slot per edge id (BLANK for an edge
     that found none) and those edges in visit order.
 
-    The colors used at each vertex are one Python int, bit c - 1 for color
-    c, so the lowest color free at both ends of u-v is the lowest zero bit
-    of used[u] | used[v].  No edge-id table is kept here:
-    ColoringState.from_slots writes it from the slots into one flat array,
-    and the chains that color the misses then make only the rows they touch.
+    The result is the one-edge-at-a-time result, computed in rounds.  An
+    edge's color depends only on the edges visited before it at its two
+    endpoints, so it is known once those are decided.  Each round takes
+    every edge whose earlier edges at both ends were decided in earlier
+    rounds; such edges share no vertex, so numpy colors a round in one batch.
+    There are as many rounds as edges in the longest chain in which each
+    edge shares an endpoint with the next and is visited before it.  On
+    random regular graphs with m = 200k that is 19 rounds at degree 4, ~50
+    at 12, ~160 at 40, ~400 at 100 and ~1,900 at 500.  A vertex of degree
+    d alone forces d rounds, so a star takes one round per edge.
+
+    The colors used at a vertex are ceil(q / 64) uint64 words, bit c - 1 of
+    word w for color 64 * w + c, with the bits above q set from the start.
+    An edge takes the lowest zero bit of the OR of its endpoints' words, the
+    first word that has one; with none it stays BLANK.  No edge-id table is
+    kept here: ColoringState.from_slots writes it from the slots into one
+    flat array, and the chains that color the misses make only the rows they
+    touch.
     """
-    slot = array("i", [BLANK]) * g.m
-    eu = g.edge_u
-    ev = g.edge_v
-    used = [0] * g.n
-    misses = array("i")
-    for e in order:
+    m = g.m
+    if not m:
+        return array("i"), array("i")
+    eu, ev = endpoint_views(g)
+    order = np.frombuffer(order, dtype=np.intc)
+    nxt, pending = _visit_links(eu, ev, order)
+    slot = array("i", [BLANK]) * m
+    slots = np.frombuffer(slot, dtype=np.intc)
+    nxt = nxt.view(np.int64)  # both of an edge's entries in one gather
+    words = -(-q // 64)
+    used = np.zeros((g.n, words), dtype=np.uint64)
+    used[:, -1] = (1 << 64) - (1 << (q - 64 * (words - 1)))  # the colors above q
+    ready = np.flatnonzero(pending == 0)
+    while len(ready):
+        e = order[ready]
         u = eu[e]
         v = ev[e]
-        b = ~(used[u] | used[v])
-        b &= -b
-        if b >> q:
-            misses.append(e)
-        else:
-            slot[e] = b.bit_length()
-            used[u] |= b
-            used[v] |= b
-    return slot, misses
+        free = ~(used[u] | used[v])
+        w = (free != 0).argmax(axis=1)  # the first word with a free color, else 0
+        low = free[np.arange(len(e)), w]
+        low &= -low  # the lowest free color's bit; 0 if there is none
+        used[u, w] |= low
+        used[v, w] |= low
+        color = np.frexp(low)[1]  # bit c - 1 is 0.5 * 2**c; 0 gives 0
+        color += 64 * w
+        slots[e] = color
+        # Each decided edge frees the next edge at each of its endpoints.  An
+        # edge freed at both ends in this round is counted down in both
+        # halves, and joins the next round from the second half only.
+        after = nxt[ready].view(np.intc)
+        odd = after < 0
+        first = after[~odd]
+        pending[first] -= 1
+        first = first[pending[first] == 0]
+        second = ~after[odd]
+        pending[second] -= 1
+        ready = np.concatenate((first, second[pending[second] == 0]))
+    misses = order[np.flatnonzero(slots[order] == BLANK)]
+    return slot, array("i", misses.tobytes())
+
+
+def _visit_links(eu, ev, order) -> tuple[np.ndarray, np.ndarray]:
+    """The dependency links of a first fit over ``order``, by visit rank.
+
+    Rank r is the edge order[r]; its incidence 2r + s is its endpoint s
+    (0 for edge_u, 1 for edge_v).  One sort of the keys vertex << b | (2r +
+    s) lists each vertex's edges in visit order.  Returns ``nxt``, 2m int32:
+    for incidence 2r + s the rank of the next edge at that endpoint, as r'
+    if the endpoint is its edge_u and ~r' if its edge_v; an edge with no
+    next edge there gets its own rank, whose count is spent by then.  And
+    ``pending``, m uint8: how many of rank r's endpoints, 0 to 2, have an
+    earlier edge.
+    """
+    m = len(order)
+    b = (2 * m - 1).bit_length()
+    keys = np.empty(2 * m, dtype=np.int64)
+    keys[0::2] = eu[order]
+    keys[1::2] = ev[order]
+    keys <<= b
+    keys |= np.arange(2 * m, dtype=np.uintc)  # m < 2**31, so 2m < 2**32
+    keys.sort()
+    # Split the sorted keys into vertices and incidences through casting
+    # ufuncs, so no second 2m-long int64 array is made.
+    vertex = np.empty(2 * m, dtype=np.intc)
+    np.right_shift(keys, b, out=vertex, casting="unsafe")
+    same = vertex[1:] == vertex[:-1]  # the next key is at the same vertex
+    del vertex
+    inc = np.empty(2 * m, dtype=np.uintc)
+    np.bitwise_and(keys, (1 << b) - 1, out=inc, casting="unsafe")
+    del keys
+    at = inc[:-1][same]
+    later = inc[1:][same]
+    del inc, same
+    pending = np.zeros(2 * m, dtype=np.uint8)
+    pending[later] = 1
+    side = (later & 1).view(np.intc)
+    later >>= 1  # a rank, below 2**31
+    later = later.view(np.intc)
+    later ^= np.negative(side, out=side)  # r' or ~r'
+    del side
+    nxt = np.arange(2 * m, dtype=np.uintc)
+    nxt >>= 1
+    nxt = nxt.view(np.intc)
+    nxt[at] = later
+    return nxt, pending[0::2] + pending[1::2]
 
 
 # ---------------------------------------------------------------------------

@@ -85,24 +85,22 @@ def gnp(n: int, p: float, rng) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return build_graph(pairs, n)
+    """K_n, edges (u, v) for u < v in row order."""
+    return build_graph(np.stack(np.triu_indices(n, 1), axis=1), n)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    pairs = [(u, a + v) for u in range(a) for v in range(b)]
-    return build_graph(pairs, a + b)
+    """K_{a,b} on parts [0, a) and [a, a + b), edges (u, a + v) in row order."""
+    u = np.repeat(np.arange(a, dtype=np.int64), b)
+    v = np.tile(np.arange(a, a + b, dtype=np.int64), a)
+    return build_graph(np.stack((u, v), axis=1), a + b)
 
 
 def hypercube(dim: int) -> Graph:
+    """Q_dim: v joins v ^ 2**bit, edges (v, w) with v < w by v, then bit."""
     n = 1 << dim
-    pairs = []
-    for v in range(n):
-        for bit in range(dim):
-            w = v ^ (1 << bit)
-            if w > v:
-                pairs.append((v, w))
-    return build_graph(pairs, n)
+    v, bit = np.nonzero((np.arange(n)[:, None] >> np.arange(dim) & 1) == 0)  # w > v
+    return build_graph(np.stack((v, v | 1 << bit), axis=1), n)
 
 
 # Fresh shuffles random_regular makes before giving up.

@@ -309,3 +309,25 @@ def reference_parse_coloring(text: str, g: Graph, labels: list[str]) -> list[int
         first = f"{labels[g.edge_u[e]]} {labels[g.edge_v[e]]}"
         raise MalformedInput(f"{len(missing)} graph edges missing from the coloring, first: {first}")
     return colors
+
+
+def reference_complete(n: int) -> list[tuple[int, int]]:
+    """K_n's edge list as the tuple loop builds it: ``generators.complete``
+    must give these pairs in this order."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def reference_complete_bipartite(a: int, b: int) -> list[tuple[int, int]]:
+    """K_{a,b}'s edge list as the tuple loop builds it."""
+    return [(u, a + v) for u in range(a) for v in range(b)]
+
+
+def reference_hypercube(dim: int) -> list[tuple[int, int]]:
+    """Q_dim's edge list as the tuple loop builds it."""
+    pairs = []
+    for v in range(1 << dim):
+        for bit in range(dim):
+            w = v ^ (1 << bit)
+            if w > v:
+                pairs.append((v, w))
+    return pairs

@@ -407,18 +407,29 @@ def test_vizing_color_chains_never_flag(monkeypatch):
 
 
 def test_first_fit_matches_sequential_scan():
-    # Pass 1 of vizing_color: the bitset first fit must give the palette
-    # scan's colors and misses on the same order, also past 63 colors and
-    # with a palette too small for the graph; the state built from its
-    # slots must pass the independent rescan.
+    # Pass 1 of vizing_color runs in dependency rounds: it must give the
+    # palette scan's colors and misses, in visit order, on the same order.
+    # Palettes sit at the edges of the 64-bit words and below the degree;
+    # the graphs include an edgeless one, isolated vertices, and a random
+    # 4-regular graph whose wide rounds free some edges at both ends at once.
+    # The state built from the slots must pass the independent rescan.
     rng = rng_for(21)
-    graphs = [random_graph(rng, max_n=60) for _ in range(30)] + [complete(70)]
-    for g in graphs:
-        for q in {g.max_degree + 1, max(1, g.max_degree // 2)}:
+    small = [random_graph(rng, max_n=60) for _ in range(30)]
+    word_edges = {1, 63, 64, 65, 128, 129}
+    cases = [(g, {g.max_degree + 1, max(1, g.max_degree // 2)}) for g in small]
+    cases += [
+        (complete(70), {70, 35} | word_edges),
+        (complete(140), word_edges),
+        (build_graph([], 6), {1, 64}),
+        (build_graph([(1, 4), (4, 6), (1, 6), (6, 9)], 12), {1, 2, 4}),
+        (random_regular(2000, 4, rng_for(22)), {1, 3, 5, 64}),
+    ]
+    for g, palettes in cases:
+        for q in sorted(palettes):
             order = array("i", rng.permutation(g.m).astype(np.int32).tobytes())
             slot, misses = engine._first_fit(g, q, order)
             colors, ref_misses = reference_first_fit(g, order, q)
-            assert list(slot) == colors and list(misses) == ref_misses
+            assert list(slot) == colors and list(misses) == ref_misses, (g, q)
             state = ColoringState.from_slots(g, q, slot)
             report = validate_proper(state)
             assert report.ok and report.blank_count == len(misses)

@@ -12,7 +12,13 @@ from edgecolor.generators import (
     random_regular,
 )
 
-from helpers import reference_random_regular, rng_for
+from helpers import (
+    reference_complete,
+    reference_complete_bipartite,
+    reference_hypercube,
+    reference_random_regular,
+    rng_for,
+)
 
 
 def test_complete_four():
@@ -72,6 +78,20 @@ def test_complete_bipartite():
     g = complete_bipartite(3, 4)
     assert len(g.edges) == 12
     assert g.max_degree == 4
+
+
+@pytest.mark.parametrize("build, ref, args, n", [
+    *((complete, reference_complete, (n,), n) for n in (0, 1, 2, 3, 7, 40)),
+    *((complete_bipartite, reference_complete_bipartite, (a, b), a + b)
+      for a, b in ((0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (4, 1), (3, 4), (9, 13))),
+    *((hypercube, reference_hypercube, (dim,), 1 << dim) for dim in (1, 2, 3, 6, 9)),
+])
+def test_deterministic_families_match_the_tuple_loops(build, ref, args, n):
+    # Built with numpy, each family keeps the loop's edges in the loop's
+    # order, so gen writes the same bytes.
+    g = build(*args)
+    assert list(zip(g.edge_u, g.edge_v)) == ref(*args)
+    assert g.n == n and len(g.degrees) == n
 
 
 def test_invalid_specs():
