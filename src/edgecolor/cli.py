@@ -122,10 +122,9 @@ def _cmd_gen(args) -> int:
     spec = GenSpec(args.model, n=args.n, p=args.p, d=args.d, a=args.a, b=args.b,
                    dim=args.dim, seed=_seed(args))
     try:
-        spec.check()
+        g = generate(spec)
     except InvalidSpec as exc:
         raise UsageError(str(exc)) from None
-    g = generate(spec)
     if args.out:
         write_edge_list(args.out, g)
     else:

@@ -26,6 +26,8 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import islice
+from operator import length_hint
 
 import numpy as np
 
@@ -425,26 +427,19 @@ def greedy_color(g: Graph, num_colors: int, rng, stats: RunStats | None = None) 
 def _greedy(state: ColoringState, edges, offset: int, num_colors: int, rng, stats) -> None:
     """Give each blank or flagged edge of ``edges``, in turn, the first of a
     stream of uniform draws from [offset + 1, offset + num_colors] free at
-    both endpoints.  The draws come in blocks of 1024, part of the RNG
-    stream.  Counts the edges as colored; a caller that passes flagged
-    edges settles flagged_count.
+    both endpoints.  Counts the edges as colored; a caller that passes
+    flagged edges settles flagged_count.
     """
     miss = state.missing
     slot = state.slot
     eu = state.graph.edge_u
     ev = state.graph.edge_v
     draws = 0
-    buf: list[int] = []
-    cursor = 0
+    stream = _uniform_draws(rng, offset + 1, offset + num_colors + 1)
     for e in edges:
         mu = miss[eu[e]]
         mv = miss[ev[e]]
-        while True:
-            if cursor == len(buf):
-                buf = rng.integers(offset + 1, offset + num_colors + 1, size=1024).tolist()
-                cursor = 0
-            c = buf[cursor]
-            cursor += 1
+        for c in stream:
             draws += 1
             if mu[c] < 0 and mv[c] < 0:
                 slot[e] = c
@@ -456,6 +451,13 @@ def _greedy(state: ColoringState, edges, offset: int, num_colors: int, rng, stat
         stats.greedy_colors = num_colors
         stats.greedy_edges += len(edges)
         stats.greedy_draws += draws
+
+
+def _uniform_draws(rng, low: int, high: int):
+    """Uniform draws from [low, high), drawn in blocks of 1024 as they are
+    read; the block size is part of the RNG stream."""
+    while True:
+        yield from rng.integers(low, high, size=1024).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -652,69 +654,78 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
 
     t0 = time.perf_counter_ns()
     # One uniformly random edge order and a coin per edge for which endpoint
-    # becomes the pivot.  Machine-typed, so the per-edge scratch is 5 bytes
-    # and no int object; edge ids already fit in "i", as in the missing rows.
+    # becomes the pivot, drawn by visit rank and kept by edge id.
+    # Machine-typed, so the per-edge scratch is 5 bytes and no int object;
+    # edge ids already fit in "i", as in the missing rows.
     order = array("i", rng.permutation(m).astype(np.int32).tobytes())
-    coins = rng.integers(0, 2, size=m).astype(np.int8).tobytes()
+    coins = np.empty(m, dtype=np.int8)
+    coins[np.frombuffer(order, dtype=np.intc)] = rng.integers(0, 2, size=m)
+    coins = coins.tobytes()
     path_counts = [0] * (min(ell, g.n - 1) + 1)  # a simple path has at most n - 1 edges
     iter_counts = [0] * (min(rounds, q1) + 1)  # each later round drops >= 1 of q1 colors
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     dstar = 0  # its max degree so far
     raw = _color_one_raw
-    # Round-1 colors: i.i.d. uniform draws from [1, q1], read in order from
-    # ``cur``.  An edge's sample is the kappa draws from there on, but first
-    # fit stops at the first color free at both ends, and the unread tail is
-    # still uniform, so the next edge starts right after the hit.  Refilled
-    # in blocks once fewer than kappa draws are left.
+    # Round-1 colors: i.i.d. uniform draws from [1, q1], read in order
+    # through one iterator, ``it``.  An edge's sample is the next kappa
+    # draws, but first fit stops at the first color free at both ends, and
+    # the unread tail is still uniform, so the next edge starts right after
+    # the hit.  Before an edge, once fewer than kappa draws are left, the
+    # list is refilled by a block.  An edge reads at most kappa draws, so
+    # with ``left`` draws the next left // kappa edges run without a check.
     draws: list[int] = []
-    cur = 0
-    stop = -kappa  # refill when cur > stop = len(draws) - kappa
+    it = iter(draws)
     block = max(_DRAW_BLOCK, kappa)
-    fast = 0  # edges first-fit below; added to the counters after the loop
-    for i, e in enumerate(order):
-        if cur > stop:
-            draws = draws[cur:] + rng.integers(1, q1 + 1, size=block).tolist()
-            cur = 0
-            stop = len(draws) - kappa
-        u = eu[e]
-        v = ev[e]
-        mu = miss[u]
-        mv = miss[v]
-        # _color_one_raw's round-1 first fit, inlined: it is all most edges need.
-        for j in range(cur, cur + kappa):
-            c = draws[j]
-            if mu[c] < 0 and mv[c] < 0:
-                slot[e] = c
-                mu[c] = e
-                mv[c] = e
-                fast += 1
-                cur = j + 1
-                break
-        else:
-            C = draws[cur : cur + kappa]
-            cur += kappa
-            colored, iters, fedge, _ = raw(
-                state, e, u if coins[i] else v, q1, kappa, ell, rounds, floor_q, C, rng,
-                path_counts, stats,
-            )
-            iter_counts[iters] += 1
-            if colored:
-                continue
-            fu = eu[fedge]
-            fv = ev[fedge]
-            flag_degree[fu] += 1
-            flag_degree[fv] += 1
-            worst = max(flag_degree[fu], flag_degree[fv])
-            dstar = max(dstar, worst)
-            if worst > bound:
-                _stage1_stats(stats, state, t0, path_counts, iter_counts, fast)
-                stats.delta_gstar = worst
-                raise ColoringFailed(
-                    f"flagged subgraph degree {worst} exceeds eps*D/6 = {bound:.3f} "
-                    f"after {i + 1} of {m} edges",
-                    stats=stats,
+    edges = iter(order)
+    done = 0  # edges handed to the loop below
+    calls = 0  # edges the inline first fit missed; the rest count after the loop
+    while done < m:
+        left = length_hint(it)
+        if left < kappa:
+            draws = list(it) + rng.integers(1, q1 + 1, size=block).tolist()
+            it = iter(draws)
+            left = len(draws)
+        batch = min(left // kappa, m - done)
+        done += batch
+        for e in islice(edges, batch):
+            u = eu[e]
+            v = ev[e]
+            mu = miss[u]
+            mv = miss[v]
+            # _color_one_raw's round-1 first fit, inlined: it is all most edges need.
+            for c in islice(it, kappa):
+                if mu[c] < 0 and mv[c] < 0:
+                    slot[e] = c
+                    mu[c] = e
+                    mv[c] = e
+                    break
+            else:
+                # A miss read exactly kappa draws, which end where ``it`` stands.
+                pos = len(draws) - length_hint(it)
+                calls += 1
+                colored, iters, fedge, _ = raw(
+                    state, e, u if coins[e] else v, q1, kappa, ell, rounds, floor_q,
+                    draws[pos - kappa : pos], rng, path_counts, stats,
                 )
-    _stage1_stats(stats, state, t0, path_counts, iter_counts, fast)
+                iter_counts[iters] += 1
+                if colored:
+                    continue
+                fu = eu[fedge]
+                fv = ev[fedge]
+                flag_degree[fu] += 1
+                flag_degree[fv] += 1
+                worst = max(flag_degree[fu], flag_degree[fv])
+                dstar = max(dstar, worst)
+                if worst > bound:
+                    seen = int(np.flatnonzero(np.frombuffer(order, dtype=np.intc) == e)[0]) + 1
+                    _stage1_stats(stats, state, t0, path_counts, iter_counts, seen - calls)
+                    stats.delta_gstar = worst
+                    raise ColoringFailed(
+                        f"flagged subgraph degree {worst} exceeds eps*D/6 = {bound:.3f} "
+                        f"after {seen} of {m} edges",
+                        stats=stats,
+                    )
+    _stage1_stats(stats, state, t0, path_counts, iter_counts, m - calls)
     _check(state.colored_count + state.flagged_count == m, "colored + flagged == m")
     _check(stats.flags_total == state.flagged_count, "flag reasons add up to flagged_count")
 

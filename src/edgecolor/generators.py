@@ -75,13 +75,37 @@ def generate(spec: GenSpec) -> Graph:
 
 
 def gnp(n: int, p: float, rng) -> Graph:
-    """Erdos-Renyi G(n, p)."""
-    pairs = []
-    if p > 0.0:
-        for u in range(n - 1):
-            hits = np.nonzero(rng.random(n - 1 - u) < p)[0]
-            pairs.extend((u, u + 1 + int(v)) for v in hits)
-    return build_graph(pairs, n)
+    """Erdos-Renyi G(n, p), edges (u, v) with u < v in row order.
+
+    The edge count k is drawn from Binomial(n(n-1)/2, p), then k distinct
+    uniform positions of the upper triangle, so the time is O(n + k), not
+    one draw per vertex pair.  A k of 2**31 or more (ids are int32) raises
+    InvalidSpec.
+    """
+    pairs = n * (n - 1) // 2
+    k = int(rng.binomial(pairs, p)) if pairs else 0
+    if k >= 1 << 31:
+        raise InvalidSpec(f"gnp drew {k} edges; at most 2**31 - 1 fit")
+    pos = rng.choice(pairs, k, replace=False, shuffle=False)
+    pos.sort()
+    return build_graph(_triu_pairs(pos, n), n)
+
+
+def _triu_pairs(pos: np.ndarray, n: int) -> np.ndarray:
+    """The (u, v) at each position of the row-order upper triangle of K_n.
+
+    Counted from the end, position y = N - 1 - pos lies in row
+    u = n - 2 - r, the row of r + 1 pairs, where r(r + 1)/2 <= y <
+    (r + 1)(r + 2)/2.  The float square root can put r one off at a row's
+    edge; the integer comparisons after it fix that.
+    """
+    y = n * (n - 1) // 2 - 1 - pos
+    r = ((np.sqrt(8.0 * y + 1) - 1) // 2).astype(np.int64)
+    r -= r * (r + 1) // 2 > y
+    r += (r + 1) * (r + 2) // 2 <= y
+    u = n - 2 - r
+    v = n - 1 - (y - r * (r + 1) // 2)
+    return np.stack((u, v), axis=1)
 
 
 def complete(n: int) -> Graph:

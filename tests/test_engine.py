@@ -576,6 +576,30 @@ def test_edge_color_draws_only_the_round1_colors_first_fit_reads(seed):
     assert drawn / g.m <= 10, drawn / g.m
 
 
+# Golden graphs and configs colored with one-draw refills (the block is then
+# kappa), so the round-1 list is refilled before nearly every edge: a refill
+# one edge early or late, or one after the last edge, shifts the draws that
+# follow, stage 2's included.  Hashes of slots, stats text and restart causes.
+_SMALL_BLOCK = {
+    "shift-d60": "328dcf008fa570eb3ccfdb575da09ee955860de8da2ac1ce986d15d40cdf25da",
+    "multiround-d60": "568bdcb7851e0b8ecadb58a02f49ec43f98f5cb200c3f18dd54c480e597a88ce",
+    "restart-d12": "a46021551b934df23ba7b1fffe090d752a8ff1101426e8e197db90260a9bbe3e",
+    "inregime-d40": "08cd3762490d2f8bc98718e0524169b2366f74263f04875ac46c9a5d75722838",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_BLOCK))
+def test_run_full_pinned_with_one_draw_refills(monkeypatch, name):
+    from test_golden import CASES
+
+    spec, cfg = CASES[name][:2]
+    monkeypatch.setattr(engine, "_DRAW_BLOCK", 1)
+    state, stats = run_full(generate(spec), cfg)
+    text = (",".join(map(str, state.slot)) + "\n" + stats.to_text(include_timings=False)
+            + "\n".join(stats.restart_causes))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == _SMALL_BLOCK[name]
+
+
 # ---------------------------------------------------------------------------
 # Early abort of a doomed attempt, and the once-per-run contract checks
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from edgecolor import GenSpec, InvalidSpec, RejectionExhausted, generate
@@ -43,6 +46,62 @@ def test_gnp_deterministic():
     assert a.edges == b.edges
     c = generate(GenSpec("gnp", n=50, p=0.3, seed=6))
     assert a.edges != c.edges
+
+
+@pytest.mark.parametrize("n, p, seed", [(2, 0.5, 1), (30, 0.3, 2), (200, 0.05, 3), (500, 0.9, 4)])
+def test_gnp_simple_in_row_order(n, p, seed):
+    g = generate(GenSpec("gnp", n=n, p=p, seed=seed))
+    pairs = list(zip(g.edge_u, g.edge_v))
+    assert all(u < v < n for u, v in pairs)  # no loops, in range
+    assert pairs == sorted(set(pairs))  # no repeats, in row order
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64])
+def test_gnp_extreme_probabilities(n):
+    assert gnp(n, 0.0, rng_for(n)).m == 0
+    full = gnp(n, 1.0, rng_for(n))
+    assert full.n == n and full.edges == complete(n).edges
+
+
+def test_gnp_edge_count_within_five_sigma():
+    n, p = 20_000, 0.001
+    pairs = n * (n - 1) // 2
+    sigma = (pairs * p * (1 - p)) ** 0.5
+    for seed in range(3):
+        g = generate(GenSpec("gnp", n=n, p=p, seed=seed))
+        assert abs(g.m - pairs * p) <= 5 * sigma, g.m
+
+
+def test_gnp_refuses_two_to_the_31_edges(tmp_path):
+    # 70,000 vertices at p = 1 hold 2,449,965,000 pairs: the spec passes its
+    # check, and gnp refuses the drawn count before allocating anything.
+    GenSpec("gnp", n=70_000, p=1.0).check()
+    with pytest.raises(InvalidSpec, match="31"):
+        gnp(70_000, 1.0, rng_for(0))
+    out = tmp_path / "g.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgecolor", "gen", "--model", "gnp", "--n", "70000", "--p", "1",
+         "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 65_537, 10**9 + 7, 2**31])
+def test_gnp_positions_map_to_their_pairs(n):
+    # Row u of the upper triangle starts at position u(2n - u - 1)/2.  The
+    # float square root is checked against exact integer arithmetic at every
+    # row edge near both ends and in the middle, up to 2**31 vertices.
+    def start(u):
+        return u * (2 * n - u - 1) // 2
+
+    rows = sorted({u for u in (0, 1, 2, n // 3, n // 2, n - 4, n - 3, n - 2) if 0 <= u <= n - 2})
+    pos = sorted({x for u in rows for x in (start(u) - 1, start(u), start(u) + 1, start(u + 1) - 1)
+                  if 0 <= x < start(n - 1)})
+    got = generators._triu_pairs(np.array(pos, dtype=np.int64), n)
+    for x, (u, v) in zip(pos, got.tolist()):
+        assert start(u) <= x < start(u + 1) and v == x - start(u) + u + 1, (x, u, v)
 
 
 def test_random_regular_small():
