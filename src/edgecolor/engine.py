@@ -1,21 +1,23 @@
 """Randomized coloring drivers.
 
-Stage 1 visits the edges in one uniformly random order and samples a small
-random palette for each: first sampled color free at both ends, else a fan
-from the first missing at the far end, grown into a Vizing chain.  When a
-chain's path hits the length cap, the blank edge is shifted to a random point
-along the path and the attempt continues with a fresh, disjoint palette.
-Edges whose attempts fail are flagged.  Stage 2 greedy-colors the flagged
-edges in place, from the block of colors above stage 1's.  A run fails when
-the flagged subgraph is too dense for the stage-2 budget.  run_full restarts
-failed runs and, when every attempt failed or epsilon*Delta/6 < 1, falls
-back to vizing_color, which colors the whole graph with Delta + 1 colors:
-first each edge, in one random order, takes the smallest color free at both
-ends, then Vizing chains color the edges that found none.  That first pass
-runs in rounds in numpy: a round takes every edge whose earlier edges at
-both ends are decided, so its result is the one-edge-at-a-time result, and
-a random order needs few rounds (19 on a random 4-regular graph with
-m = 200k).
+Stage 1 makes two passes over one uniformly random edge order.  Pass A
+gives each edge the first of its own kappa uniform draws from the stage-1
+palette that is free at both ends (the trivial Vizing chain).  Pass B runs
+Color-One on each edge pass A missed, in visit order, with a fresh palette
+sample: a fan from the first sampled color missing at the far end, grown
+into a Vizing chain.  When a chain's path hits the length cap, the blank
+edge is shifted to a random point along the path and the attempt continues
+with a fresh, disjoint palette.  Edges whose attempts fail are flagged.
+Stage 2 greedy-colors the flagged edges in place, from the block of colors
+above stage 1's.  A run fails when the flagged subgraph is too dense for
+the stage-2 budget.  run_full restarts failed runs and, when every attempt
+failed or epsilon*Delta/6 < 1, falls back to vizing_color, which colors the
+whole graph with Delta + 1 colors in the same two passes: first each edge
+takes the smallest color free at both ends, then Vizing chains color the
+edges that found none.  Both first passes compute the one-edge-at-a-time
+result in numpy batches: the fallback's in rounds of edges whose earlier
+edges at both ends are decided (see _first_fit), stage 1's in sweeps over
+blocks of the order until no pick changes (see _sampled_first_fit).
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import islice
-from operator import length_hint
 
 import numpy as np
 
@@ -244,8 +244,9 @@ def sample_palette(pool, kappa: int, rng) -> list[int]:
     return list(dict.fromkeys(pool[i] for i in idx))
 
 
-# Round-1 colors drawn per refill of edge_color's draw list; part of the RNG stream.
-_DRAW_BLOCK = 1 << 14
+# Draws per edge in stage 1's first fit before the kappa - 8 more that only
+# the edges missing all of them draw; part of the RNG stream.
+_FIRST_DRAWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +469,12 @@ def _uniform_draws(rng, low: int, high: int):
 def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     """Color every edge with at most max_degree + 1 colors (Vizing's theorem).
 
-    Two passes over one random edge order.  The first gives each edge, in
-    that order, the smallest color in [1, max_degree + 1] free at both
-    endpoints, and writes only the slots.  It is computed in rounds of
-    edges whose earlier neighbours are all decided, one numpy batch per
-    round (see _first_fit): 19 rounds on a random 4-regular graph with
-    m = 200k, ~400 on a 100-regular one.  The
+    Two passes over one random edge order, as in edge_color's stage 1.  The
+    first gives each edge, in that order, the smallest color in
+    [1, max_degree + 1] free at both endpoints, and writes only the slots.
+    It is computed in rounds of edges whose earlier neighbours are all
+    decided, one numpy batch per round (see _first_fit): 19 rounds on a
+    random 4-regular graph with m = 200k, ~400 on a 100-regular one.  The
     state and its edge-id table are then built from the slots in one go.
     The second pass colors each edge that found no free color, in the same
     order, with the stage-1 chain routine over the full palette, passed as a
@@ -501,6 +502,11 @@ def vizing_color(g: Graph, rng, stats: RunStats | None = None) -> ColoringState:
     _check(state.colored_count == m, "every edge colored")
     _check(state.max_color_used() <= q, f"max color <= D + 1 = {q}")
     return state
+
+
+# ---------------------------------------------------------------------------
+# The first passes: in dependency rounds (fallback) and in blocks (stage 1).
+# ---------------------------------------------------------------------------
 
 
 def _first_fit(g: Graph, q: int, order) -> tuple[array, array]:
@@ -614,6 +620,138 @@ def _visit_links(eu, ev, order) -> tuple[np.ndarray, np.ndarray]:
     return nxt, pending[0::2] + pending[1::2]
 
 
+# Bounds on the block size of stage 1's first fit, which draws each block's
+# first colors in one call: part of the RNG stream.  Block ranks are int16,
+# below _FREE.
+_BLOCK_MIN = 2048
+_BLOCK_MAX = 8192
+_FREE = np.iinfo(np.int16).max
+
+
+def _sampled_first_fit(g: Graph, q: int, kappa: int, order, draw) -> tuple[array, array]:
+    """Give each edge of ``order``, in turn, the first of its kappa uniform
+    draws from [1, q] free at both endpoints; return the slot per edge id
+    (BLANK for an edge that found none) and those edges in visit order.
+
+    ``draw(e, k)`` returns k more draws for each edge of ``e``, shape
+    (len(e), k).  The order is cut into blocks of 2n edges, clipped to
+    [_BLOCK_MIN, _BLOCK_MAX].  A block draws _FIRST_DRAWS colors per edge,
+    and the other kappa - _FIRST_DRAWS for an edge the first time a sweep
+    finds none of its first draws free, kept for the rest of the block.
+    Each color an edge reads is its own uniform draw, so its pick has the
+    law of kappa draws scanned in order.
+
+    The result is the one-edge-at-a-time result, computed by sweeps over a
+    block at a time.  A sweep picks at once, for every edge it takes, the
+    first draw not held at either endpoint by an earlier block's edge or by
+    the current pick of an earlier edge of the block.  The first sweep takes
+    every edge of the block; each later one takes the edges with an earlier
+    edge at an endpoint whose pick the sweep before changed.  When a sweep
+    changes nothing, every pick is the first draw free of the picks of the
+    edges before it, which by induction on the visit order are the
+    one-edge-at-a-time picks.  Picks of a random order settle fast: on a
+    random 100-regular graph a block takes ~5 sweeps and an edge is picked
+    ~2 times (~2.5 at n = 400), where rounds of edges whose earlier
+    neighbours are all decided (see _first_fit) take ~400 numpy batches
+    however small the graph.
+
+    ``owner`` holds per vertex and color the block rank of the earliest edge
+    of the block that picked the color there, _FREE if none, and -1 once an
+    earlier block's edge holds it; a color is taken for rank r where its
+    cell is below r.  Column 0 takes the cells of the edges that found none.
+    """
+    m = g.m
+    if not m:
+        return array("i"), array("i")
+    eu, ev = endpoint_views(g)
+    order = np.frombuffer(order, dtype=np.intc)
+    slot = array("i", [BLANK]) * m
+    slots = np.frombuffer(slot, dtype=np.intc)
+    width = q + 1
+    owner = np.full(g.n * width, _FREE, dtype=np.int16)
+    first = min(_FIRST_DRAWS, kappa)
+    more = kappa - first
+    size = min(max(2 * g.n, _BLOCK_MIN), _BLOCK_MAX)
+    ranks = np.arange(size, dtype=np.int16)
+    moved_at = np.full(g.n, _FREE, dtype=np.int16)  # per vertex, the earliest rank that moved
+
+    def first_free(c, at_u, at_v, rank):
+        # Per row of draws c, the first not taken at either endpoint, else 0.
+        taken = np.minimum(owner.take(c + at_u[:, None]), owner.take(c + at_v[:, None]))
+        taken = taken < rank[:, None]
+        k = c.shape[1]
+        i = taken.argmin(axis=1)  # the first free draw; 0 if none is free
+        i += np.arange(0, k * len(c), k)
+        color = c.ravel()[i]
+        color[taken.ravel()[i]] = 0
+        return color
+
+    for lo in range(0, m, size):
+        e = order[lo : lo + size]
+        rank = ranks[: len(e)]
+        u = eu[e]
+        v = ev[e]
+        at_u = np.multiply(u, width, dtype=np.intp)
+        at_v = np.multiply(v, width, dtype=np.intp)
+        drawn = draw(e, first)
+        # The later draws, packed in order of need, so untouched rows cost no memory.
+        rest = np.empty((len(e), more), dtype=drawn.dtype)
+        rest_at = np.full(len(e), -1, dtype=np.intp)
+        held = 0  # rows of ``rest`` in use
+        pick = np.zeros(len(e), dtype=drawn.dtype)
+        rows = np.arange(len(e))
+        while len(rows):
+            new = first_free(drawn[rows], at_u[rows], at_v[rows], rank[rows])
+            miss = np.flatnonzero(new == 0)
+            if more and len(miss):
+                need = rows[miss]
+                need = need[rest_at[need] < 0]
+                if len(need):
+                    rest_at[need] = np.arange(held, held + len(need))
+                    rest[held : held + len(need)] = draw(e[need], more)
+                    held += len(need)
+                # Scan the later draws in chunks of doubling width: a long
+                # scan takes few batches, a short one reads few draws.
+                a, w = 0, first
+                while a < more and len(miss):
+                    at = rows[miss]
+                    found = first_free(rest[rest_at[at], a : a + w], at_u[at], at_v[at], rank[at])
+                    new[miss] = found
+                    miss = miss[found == 0]
+                    a += w
+                    w *= 2
+            moved = np.flatnonzero(new != pick[rows])
+            if not len(moved):
+                break
+            new = new[moved]
+            moved = rows[moved]
+            # Free the cells the moved edges leave, then every edge whose
+            # cell reads above its rank claims it again: the earliest holder
+            # of a cell keeps it.
+            old = pick[moved]
+            owner[at_u[moved] + old] = _FREE
+            owner[at_v[moved] + old] = _FREE
+            pick[moved] = new
+            cell_u = at_u + pick
+            cell_v = at_v + pick
+            claim = np.flatnonzero(np.maximum(owner.take(cell_u), owner.take(cell_v)) > rank)
+            np.minimum.at(owner, cell_u[claim], rank[claim])
+            np.minimum.at(owner, cell_v[claim], rank[claim])
+            # The next sweep takes the edges with a moved earlier edge at an endpoint.
+            np.minimum.at(moved_at, u[moved], rank[moved])
+            np.minimum.at(moved_at, v[moved], rank[moved])
+            s = moved[0] + 1
+            after = np.minimum(moved_at.take(u[s:]), moved_at.take(v[s:]))
+            rows = s + np.flatnonzero(after < rank[s:])
+            moved_at[u[moved]] = _FREE
+            moved_at[v[moved]] = _FREE
+        slots[e] = pick
+        owner[at_u + pick] = -1
+        owner[at_v + pick] = -1
+    misses = order[np.flatnonzero(slots[order] == BLANK)]
+    return slot, array("i", misses.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # The two-stage driver.
 # ---------------------------------------------------------------------------
@@ -621,6 +759,14 @@ def _visit_links(eu, ev, order) -> tuple[np.ndarray, np.ndarray]:
 
 def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunStats]:
     """Produce a proper coloring of g with at most ceil((1+epsilon)*Delta) colors.
+
+    Stage 1 makes two passes over one uniformly random edge order, as
+    vizing_color does.  Pass A gives each edge the first of its own kappa
+    uniform draws from [1, q1] free at both ends, in sweeps over blocks of
+    the order (see _sampled_first_fit), and writes only the slots; the
+    state is built from them.  Pass B runs Color-One on each edge that pass A
+    missed, in visit order, with a fresh kappa-sample and a coin for which
+    endpoint is the pivot.
 
     Raises ColoringFailed as soon as a flag pushes the flagged subgraph's
     degree past epsilon*Delta/6: flags are never lifted in stage 1, so the
@@ -645,87 +791,49 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     rounds = cfg.rounds(delta)
     floor_q = cfg.palette_floor(delta)
     bound = cfg.flag_bound(delta)
-
-    state = ColoringState(g, q_cap)
-    slot = state.slot
-    miss = state.missing
     eu = g.edge_u
     ev = g.edge_v
 
     t0 = time.perf_counter_ns()
-    # One uniformly random edge order and a coin per edge for which endpoint
-    # becomes the pivot, drawn by visit rank and kept by edge id.
-    # Machine-typed, so the per-edge scratch is 5 bytes and no int object;
-    # edge ids already fit in "i", as in the missing rows.
     order = array("i", rng.permutation(m).astype(np.int32).tobytes())
-    coins = np.empty(m, dtype=np.int8)
-    coins[np.frombuffer(order, dtype=np.intc)] = rng.integers(0, 2, size=m)
-    coins = coins.tobytes()
+    slot, misses = _sampled_first_fit(
+        g, q1, kappa, order, lambda e, k: rng.integers(1, q1 + 1, size=(len(e), k), dtype=np.intc)
+    )
+    del order
+    state = ColoringState.from_slots(g, q_cap, slot)
+    # Pass B: per miss, in visit order, a pivot coin and a fresh kappa-sample.
+    coins = rng.integers(0, 2, size=len(misses)).tolist()
+    samples = rng.integers(1, q1 + 1, size=(len(misses), kappa), dtype=np.intc)
+    fast = m - len(misses)  # colored by pass A, in round 1 at path length 0
     path_counts = [0] * (min(ell, g.n - 1) + 1)  # a simple path has at most n - 1 edges
+    path_counts[0] = fast
     iter_counts = [0] * (min(rounds, q1) + 1)  # each later round drops >= 1 of q1 colors
+    iter_counts[1] = fast
     flag_degree = [0] * g.n  # per-vertex degree in the flagged subgraph so far
     dstar = 0  # its max degree so far
-    raw = _color_one_raw
-    # Round-1 colors: i.i.d. uniform draws from [1, q1], read in order
-    # through one iterator, ``it``.  An edge's sample is the next kappa
-    # draws, but first fit stops at the first color free at both ends, and
-    # the unread tail is still uniform, so the next edge starts right after
-    # the hit.  Before an edge, once fewer than kappa draws are left, the
-    # list is refilled by a block.  An edge reads at most kappa draws, so
-    # with ``left`` draws the next left // kappa edges run without a check.
-    draws: list[int] = []
-    it = iter(draws)
-    block = max(_DRAW_BLOCK, kappa)
-    edges = iter(order)
-    done = 0  # edges handed to the loop below
-    calls = 0  # edges the inline first fit missed; the rest count after the loop
-    while done < m:
-        left = length_hint(it)
-        if left < kappa:
-            draws = list(it) + rng.integers(1, q1 + 1, size=block).tolist()
-            it = iter(draws)
-            left = len(draws)
-        batch = min(left // kappa, m - done)
-        done += batch
-        for e in islice(edges, batch):
-            u = eu[e]
-            v = ev[e]
-            mu = miss[u]
-            mv = miss[v]
-            # _color_one_raw's round-1 first fit, inlined: it is all most edges need.
-            for c in islice(it, kappa):
-                if mu[c] < 0 and mv[c] < 0:
-                    slot[e] = c
-                    mu[c] = e
-                    mv[c] = e
-                    break
-            else:
-                # A miss read exactly kappa draws, which end where ``it`` stands.
-                pos = len(draws) - length_hint(it)
-                calls += 1
-                colored, iters, fedge, _ = raw(
-                    state, e, u if coins[e] else v, q1, kappa, ell, rounds, floor_q,
-                    draws[pos - kappa : pos], rng, path_counts, stats,
-                )
-                iter_counts[iters] += 1
-                if colored:
-                    continue
-                fu = eu[fedge]
-                fv = ev[fedge]
-                flag_degree[fu] += 1
-                flag_degree[fv] += 1
-                worst = max(flag_degree[fu], flag_degree[fv])
-                dstar = max(dstar, worst)
-                if worst > bound:
-                    seen = int(np.flatnonzero(np.frombuffer(order, dtype=np.intc) == e)[0]) + 1
-                    _stage1_stats(stats, state, t0, path_counts, iter_counts, seen - calls)
-                    stats.delta_gstar = worst
-                    raise ColoringFailed(
-                        f"flagged subgraph degree {worst} exceeds eps*D/6 = {bound:.3f} "
-                        f"after {seen} of {m} edges",
-                        stats=stats,
-                    )
-    _stage1_stats(stats, state, t0, path_counts, iter_counts, m - calls)
+    for e, coin, sample in zip(misses, coins, samples):
+        colored, iters, fedge, _ = _color_one_raw(
+            state, e, eu[e] if coin else ev[e], q1, kappa, ell, rounds, floor_q,
+            sample.tolist(), rng, path_counts, stats,
+        )
+        iter_counts[iters] += 1
+        if colored:
+            continue
+        fu = eu[fedge]
+        fv = ev[fedge]
+        flag_degree[fu] += 1
+        flag_degree[fv] += 1
+        worst = max(flag_degree[fu], flag_degree[fv])
+        dstar = max(dstar, worst)
+        if worst > bound:
+            _stage1_stats(stats, state, t0, path_counts, iter_counts)
+            stats.delta_gstar = worst
+            raise ColoringFailed(
+                f"flagged subgraph degree {worst} exceeds eps*D/6 = {bound:.3f} "
+                f"after {state.colored_count + state.flagged_count} of {m} edges",
+                stats=stats,
+            )
+    _stage1_stats(stats, state, t0, path_counts, iter_counts)
     _check(state.colored_count + state.flagged_count == m, "colored + flagged == m")
     _check(stats.flags_total == state.flagged_count, "flag reasons add up to flagged_count")
 
@@ -746,14 +854,8 @@ def edge_color(g: Graph, cfg: RunConfig, rng=None) -> tuple[ColoringState, RunSt
     return state, stats
 
 
-def _stage1_stats(stats, state, t0, path_counts, iter_counts, fast) -> None:
-    # A module-level helper, not a closure: closing over the stage-1 locals
-    # would turn them into cell variables and slow every read in the loop.
-    # ``fast`` edges were first-fit inline in round 1 and not counted yet.
+def _stage1_stats(stats, state, t0, path_counts, iter_counts) -> None:
     stats.stage1_us = (time.perf_counter_ns() - t0) // 1000
-    path_counts[0] += fast
-    iter_counts[1] += fast
-    state.colored_count += fast
     stats.colored_stage1 = state.colored_count
     stats.flagged_count = state.flagged_count
     stats.gstar_edges = state.flagged_count

@@ -13,27 +13,23 @@ at x).  This one table answers both per-vertex questions the colorer asks,
 mutations are O(1); ``find_conflicts`` is the independent properness check,
 and ``validate_proper`` takes its verdict from it, never from this table.
 
-``ColoringState(g, q)`` keeps ``missing`` as a list of n rows, each an
-``array("i")`` of q + 1 entries.  Stage 1 touches every row, and CPython
-3.11 specializes a list index in its hot loop, but not a lookup in a dict
-subclass.  ``ColoringState.from_slots`` writes the whole table into one flat
-``array("i")`` and makes a vertex's row only on first touch: its ``missing``
-is a dict that cuts row x from the flat table the first time ``missing[x]``
-is read, and raises IndexError outside [0, n), as the list does for x >= n.
-The Vizing chains that run on such a state touch a small share of the rows.
-``edge_id_table()`` reads the full table from either container and makes no
-row.
+The table is one flat ``array("i")`` of n * (q + 1) entries, written by
+numpy from the slots (``ColoringState(g, q)`` is ``from_slots`` over blank
+slots).  A vertex's row is made only on first touch: ``missing`` is a dict
+that cuts row x from the flat table the first time ``missing[x]`` is read,
+and raises IndexError outside [0, n).  The chains that color what the
+first-fit passes missed touch a share of the rows.  ``edge_id_table()``
+reads the full table and makes no row.
 
-A ColoringState has a single writer, and on a ``from_slots`` state a read
-of ``missing`` is a write too, since it can insert a row.  Distinct states
-may be driven from different threads concurrently.
+A ColoringState has a single writer, and a read of ``missing`` is a write
+too, since it can insert a row.  Distinct states may be driven from
+different threads concurrently.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -49,9 +45,9 @@ _FILL_BLOCK = 1 << 14
 
 
 class _RowsOnTouch(dict):
-    """A from_slots state's ``missing``: vertex -> edge-id row, each row cut
-    from the flat n * (q + 1) table the first time it is read.  From then on
-    the row, not the flat table, holds that vertex's entries."""
+    """A state's ``missing``: vertex -> edge-id row, each row cut from the
+    flat n * (q + 1) table the first time it is read.  From then on the
+    row, not the flat table, holds that vertex's entries."""
 
     __slots__ = ("flat", "n", "width")
 
@@ -73,20 +69,7 @@ class ColoringState:
 
     def __init__(self, graph: Graph, q: int):
         """Fresh all-blank state over ``graph`` with palette {1, ..., q}."""
-        if q < 1:
-            raise ValueError(f"palette size must be >= 1, got {q}")
-        self.graph = graph
-        self.q = q
-        # Machine-typed storage keeps values inline (no per-entry objects),
-        # so lookups stay cheap even at benchmark sizes.  `slot` maps edge id
-        # to BLANK, FLAGGED, or a color; `missing` maps (vertex, color) to
-        # the incident edge id of that color, or -1, and is the only
-        # per-vertex table: probe loops test `row[c] < 0` directly.
-        self.slot = array("i", [BLANK]) * graph.m
-        blank_row = array("i", [NO_EDGE]) * (q + 1)
-        self.missing = list(map(array.__copy__, repeat(blank_row, graph.n)))
-        self.colored_count = 0
-        self.flagged_count = 0
+        self._load(graph, q, array("i", [BLANK]) * graph.m)
 
     # -- basic queries -------------------------------------------------
 
@@ -137,16 +120,18 @@ class ColoringState:
     @classmethod
     def from_slots(cls, graph: Graph, q: int, slot: array) -> ColoringState:
         """State over ``graph`` with palette {1, ..., q} whose slot array is
-        ``slot`` (kept, not copied), as vizing_color's first pass writes it;
-        the colored slots must be proper and at most q.
-
-        The edge ids are scattered, _FILL_BLOCK edges at a time so no
-        temporary is the size of the graph, through a numpy view straight
-        into one flat ``array("i")`` of n * (q + 1) entries, so no second
-        copy of the table exists.  ``missing`` cuts each vertex's row from
-        it on first touch (see _RowsOnTouch).
-        """
+        ``slot`` (kept, not copied), as the first-fit passes write it; the
+        colored slots must be proper and at most q."""
         self = cls.__new__(cls)
+        self._load(graph, q, slot)
+        return self
+
+    def _load(self, graph: Graph, q: int, slot: array) -> None:
+        # The edge ids are scattered, _FILL_BLOCK edges at a time so no
+        # temporary is the size of the graph, through a numpy view straight
+        # into the flat table, so no second copy of it exists.
+        if q < 1:
+            raise ValueError(f"palette size must be >= 1, got {q}")
         self.graph = graph
         self.q = q
         self.slot = slot
@@ -165,18 +150,14 @@ class ColoringState:
         self.missing = _RowsOnTouch(flat, graph.n, width)
         self.colored_count = int(np.count_nonzero(slots > 0))
         self.flagged_count = int(np.count_nonzero(slots == FLAGGED))
-        return self
 
     # -- derived views ---------------------------------------------------
 
     def edge_id_table(self) -> np.ndarray:
-        """The (n, q + 1) edge-id table as a numpy copy, from either kind of
-        ``missing``; makes no row.  On a from_slots state the rows made so
-        far are laid over a copy of the flat table."""
+        """The (n, q + 1) edge-id table as a numpy copy, the rows made so far
+        laid over a copy of the flat table; makes no row."""
         shape = (self.graph.n, self.q + 1)
         miss = self.missing
-        if type(miss) is list:
-            return np.frombuffer(b"".join(miss), dtype=np.intc).reshape(shape)
         table = np.frombuffer(miss.flat, dtype=np.intc).reshape(shape).copy()
         if miss:
             at = np.fromiter(miss.keys(), dtype=np.intp, count=len(miss))

@@ -20,11 +20,12 @@ def rng_for(seed) -> np.random.Generator:
 
 class CountingRng:
     """A numpy Generator that logs each call's method, leading arguments and
-    the number of values it returned."""
+    the number of values it returned, and keeps what it returned."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self.calls: list[tuple[str, tuple, int]] = []
+        self.outputs: list = []
 
     def __getattr__(self, name):
         method = getattr(self._rng, name)
@@ -32,6 +33,7 @@ class CountingRng:
         def counted(*args, **kwargs):
             out = method(*args, **kwargs)
             self.calls.append((name, args, int(np.size(out))))
+            self.outputs.append(out)
             return out
 
         return counted
@@ -128,6 +130,27 @@ def reference_first_fit(g: Graph, order, q: int) -> tuple[list[int], list[int]]:
     for e in order:
         at_u, at_v = present[g.edge_u[e]], present[g.edge_v[e]]
         c = next((c for c in range(1, q + 1) if c not in at_u and c not in at_v), 0)
+        if c:
+            colors[e] = c
+            at_u.add(c)
+            at_v.add(c)
+        else:
+            misses.append(e)
+    return colors, misses
+
+
+def reference_sampled_first_fit(g: Graph, order, draws) -> tuple[list[int], list[int]]:
+    """Sequential sampled first fit: each edge of ``order`` in turn takes the
+    first color of its row ``draws[e]``, in order, free at both endpoints.
+    Returns the color per edge id (0 for an edge that found none) and those
+    edges in visit order; ``engine._sampled_first_fit`` must match it when
+    each edge draws its own row."""
+    present: list[set[int]] = [set() for _ in range(g.n)]
+    colors = [0] * g.m
+    misses = []
+    for e in order:
+        at_u, at_v = present[g.edge_u[e]], present[g.edge_v[e]]
+        c = next((int(c) for c in draws[e] if c not in at_u and c not in at_v), 0)
         if c:
             colors[e] = c
             at_u.add(c)

@@ -285,7 +285,7 @@ def test_from_slots_builds_the_table_from_the_slots():
                 st.unassign(e)
                 fresh.unassign(e)
         assert np.array_equal(fresh.edge_id_table(), st.edge_id_table())
-        assert [fresh.missing[x] for x in range(g.n)] == st.missing
+        assert [fresh.missing[x] for x in range(g.n)] == [st.missing[x] for x in range(g.n)]
         assert np.array_equal(fresh.edge_id_table(), st.edge_id_table())
         assert validate_proper(fresh).ok
 
